@@ -14,7 +14,7 @@ import json
 import sys
 from typing import IO, Sequence
 
-from .cover import cover_pebbling_number, extremal_distribution, t_pebbling_global, t_pebbling_number
+from .cover import _extremal_at, cover_pebbling_number, t_pebbling_global, t_pebbling_number
 from .errors import (
     BudgetExceededError,
     IllegalMoveError,
@@ -34,8 +34,9 @@ EXIT_USAGE = 2
 EXIT_OVERFLOW = 3
 EXIT_BUDGET = 4
 
-# is_solvable and cover run one collapse per root; above this size that
-# quadratic cost gets noticeable and the user is warned on stderr
+# solvable and cover repeat a linear pass (a collapse, a score) for every
+# root; above this size that quadratic cost gets noticeable and the user is
+# warned on stderr
 QUADRATIC_WARN_SIZE = 1000
 
 
@@ -64,7 +65,7 @@ def _emit_json(out: IO[str], payload: dict) -> None:
 def _warn_quadratic(tree: Tree, err: IO[str], command: str) -> None:
     if tree.n > QUADRATIC_WARN_SIZE:
         err.write(
-            f"warning: {command} runs one collapse per root; "
+            f"warning: {command} repeats a linear pass for every root; "
             f"{tree.n} vertices will be slow\n"
         )
 
@@ -239,7 +240,7 @@ def _cmd_extremal(args, out: IO[str], err: IO[str]) -> int:
     result = cover_pebbling_number(tree, weights)
     if result.argmax_root is None:
         raise ValueError("demand has empty support, no extremal distribution exists")
-    dist = extremal_distribution(tree, weights)
+    dist = _extremal_at(tree, weights, result.argmax_root)
     if args.json:
         _emit_json(
             out,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .checked import checked, pow2
-from .partition import PathPartition, max_path_partition, partition_score
+from .partition import PathPartition, long_paths, partition_score
 from .tree import Distribution, Tree, WeightFunction
 
 
@@ -44,8 +44,10 @@ def t_pebbling_number(tree: Tree, v: str, k: int = 1) -> TPebblingResult:
     """
     if k < 1:
         raise ValueError("pebble target k must be at least 1")
-    tree._require(v)
-    part = max_path_partition(tree.orient_toward((v,)))
+    order, parent, _ = tree._rooting(tree._require(v))
+    part = PathPartition.from_paths(
+        [tree.names[i] for i in path] for path in long_paths(parent, order)
+    )
     if not part.sizes:
         return TPebblingResult(k, part)
     return TPebblingResult(partition_score(part.sizes, k), part)
@@ -63,15 +65,28 @@ def t_pebbling_global(tree: Tree, k: int = 1) -> tuple[int, str]:
     return best_value, best_root
 
 
-def _demand_term(tree: Tree, weights: WeightFunction, v: str) -> int:
-    dist = tree.distances_from(v)
+def _root_terms(tree: Tree, weights: WeightFunction, v: str) -> tuple[int, list[list[int]]]:
+    """Demand term of root ``v`` and the paths of its remainder forest.
+
+    The remainder forest is everything outside the minimal subtree spanning
+    ``v`` and the demand support, each vertex pointing to its parent toward
+    ``v``; the paths are its maximum partition, as vertex indices.
+    """
+    root = tree._require(v)
+    support = [(tree._require(u), k) for u, k in weights.items()]
+    order, out, depth = tree._rooting(root)
+    for x, _ in support:
+        # walk toward the root up to the sink built so far; sink vertices have no arc
+        while out[x] >= 0:
+            step = out[x]
+            out[x] = -1
+            x = step
     total = 0
-    for u in weights.support:
+    for i, k in support:
         total = checked(
-            total + checked(weights[u] * pow2(dist[u], "demand term"), "demand term"),
-            "cover score",
+            total + checked(k * pow2(depth[i], "demand term"), "demand term"), "cover score"
         )
-    return total
+    return total, long_paths(out, order)
 
 
 def s_omega_at(tree: Tree, weights: WeightFunction, v: str) -> int:
@@ -83,12 +98,9 @@ def s_omega_at(tree: Tree, weights: WeightFunction, v: str) -> int:
     """
     if not weights.support:
         raise ValueError("demand has empty support")
-    tree._require(v)
-    sink = tree.minimal_subtree(v, weights.support)
-    part = max_path_partition(tree.orient_toward(sink))
-    total = _demand_term(tree, weights, v)
-    for a in part.sizes:
-        total = checked(total + pow2(a, "remainder term") - 1, "cover score")
+    total, paths = _root_terms(tree, weights, v)
+    for path in paths:
+        total = checked(total + pow2(len(path) - 1, "remainder term") - 1, "cover score")
     return total
 
 
@@ -106,22 +118,21 @@ def cover_pebbling_number(tree: Tree, weights: WeightFunction) -> CoverResult:
     return CoverResult(gamma, argmax, table)
 
 
-def extremal_distribution(tree: Tree, weights: WeightFunction) -> Distribution:
-    """Unsolvable distribution of size gamma - 1 witnessing the lower bound.
+def _extremal_at(tree: Tree, weights: WeightFunction, root: str) -> Distribution:
+    """The extremal distribution at ``root``, an argmax of the score table.
 
-    At the argmax root: each remainder path gets 2^size - 1 pebbles on its
-    source endpoint, and the root gets the demand term minus one.
+    Each remainder path gets 2^size - 1 pebbles on its source endpoint, and
+    the root gets the demand term minus one.
     """
+    demand, paths = _root_terms(tree, weights, root)
+    piles = [(tree.names[p[0]], pow2(len(p) - 1, "extremal pile") - 1) for p in paths]
+    return Distribution(piles + [(root, demand - 1)])
+
+
+def extremal_distribution(tree: Tree, weights: WeightFunction) -> Distribution:
+    """Unsolvable distribution of size gamma - 1 witnessing the lower bound."""
     if not weights.support:
         raise ValueError("demand has empty support")
-    result = cover_pebbling_number(tree, weights)
-    root = result.argmax_root
+    root = cover_pebbling_number(tree, weights).argmax_root
     assert root is not None
-    sink = tree.minimal_subtree(root, weights.support)
-    part = max_path_partition(tree.orient_toward(sink))
-    counts: dict[str, int] = {}
-    for path, a in zip(part.paths, part.sizes):
-        source = path[0]
-        counts[source] = counts.get(source, 0) + pow2(a, "extremal pile") - 1
-    counts[root] = counts.get(root, 0) + _demand_term(tree, weights, root) - 1
-    return Distribution(counts)
+    return _extremal_at(tree, weights, root)

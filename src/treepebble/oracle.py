@@ -55,7 +55,7 @@ class _SearchSpace:
             # if it is already below demand(j), vertex j can never be met.
             # Scaled by 2^{max d} to stay in integers.
             for j in self.support:
-                drow = tree._bfs(j)
+                drow = tree._rooting(j)[2]
                 top = max(drow)
                 rows.append(tuple(1 << (top - d) for d in drow))
                 thresholds.append(self.demand[j] << top)

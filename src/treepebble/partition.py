@@ -2,13 +2,13 @@
 
 A path partition splits all arcs of a forest into arc-disjoint directed
 paths. Partitions are ordered by comparing their nonincreasing size
-sequences at the first differing index; the greedy longest-path extraction
-below produces the maximum one.
+sequences at the first differing index; the long-path decomposition below
+(each vertex continues the path of its tallest in-neighbour) produces the
+maximum one.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Sequence
@@ -41,57 +41,64 @@ class PathPartition:
         return len(self.sizes)
 
 
-def max_path_partition(forest: DirectedForest, rng: random.Random | None = None) -> PathPartition:
-    """Greedily extract a longest remaining directed path until no arcs remain.
+def long_paths(out: Sequence[int], order: Sequence[int]) -> list[list[int]]:
+    """Maximum path partition of the forest with arcs ``x -> out[x]``, on indices.
 
-    The resulting size sequence majorizes the size sequence of every valid
-    path partition of ``forest``. Ties between equally long candidates break
-    to the lexicographically smallest vertex-name sequence; pass ``rng`` to
-    randomize the tie-break instead (the size sequence does not change, only
-    which paths realize it).
+    ``out[x] < 0`` means ``x`` has no outgoing arc, and ``order`` lists every
+    vertex after all vertices whose arcs point to it. One bottom-up pass
+    gives each vertex its height and lets it continue the path of its
+    tallest in-neighbour (the long-path decomposition); a tie goes to the
+    in-neighbour whose deepest sources include the smallest index. Paths are
+    vertex lists, source first, longest first and then by source.
     """
-    out = dict(forest._out)
-    paths: list[tuple[str, ...]] = []
-    sizes: list[int] = []
-    while out:
-        # longest chain length starting at each arc source
-        length: dict[str, int] = {}
-        for u in out:
-            chase: list[str] = []
-            x = u
-            while x in out and x not in length:
-                chase.append(x)
-                x = out[x]
-            base = length.get(x, 0)
-            for y in reversed(chase):
-                base += 1
-                length[y] = base
-        best = max(length.values())
-        if best == 1:
-            # nothing chains anymore: every remaining arc is its own path,
-            # and the tie-break would emit them in sorted order one by one
-            for src in sorted(out):
-                paths.append((src, out[src]))
-                sizes.append(1)
-            out.clear()
-            break
-        candidates = sorted(u for u, l in length.items() if l == best)
-
-        def walk(start: str) -> tuple[str, ...]:
-            seq = [start]
-            for _ in range(best):
-                seq.append(out[seq[-1]])
-            return tuple(seq)
-
-        if rng is None:
-            path = min(walk(u) for u in candidates)
-        else:
-            path = walk(rng.choice(candidates))
-        for name in path[:-1]:
-            del out[name]
+    height = [0] * len(out)
+    low = list(range(len(out)))  # smallest index among the deepest sources
+    chosen = [-1] * len(out)  # the in-neighbour whose path continues
+    for x in order:
+        p = out[x]
+        if p < 0:
+            continue
+        h = height[x] + 1
+        if h > height[p] or (h == height[p] and low[x] < low[p]):
+            height[p], low[p], chosen[p] = h, low[x], x
+    paths: list[list[int]] = []
+    for source, p in enumerate(out):
+        if p < 0 or chosen[source] >= 0:
+            continue
+        path = [source, p]
+        while out[p] >= 0 and chosen[p] == path[-2]:
+            p = out[p]
+            path.append(p)
         paths.append(path)
-        sizes.append(best)
-    return PathPartition(tuple(paths), tuple(sizes))
+    paths.sort(key=len, reverse=True)  # stable: equal sizes stay in source order
+    return paths
+
+
+def max_path_partition(forest: DirectedForest) -> PathPartition:
+    """Maximum path partition of ``forest``: its size sequence majorizes every other.
+
+    Each vertex continues the path of its tallest in-neighbour; ties go to
+    the one whose deepest sources include the name-smallest vertex. Paths
+    are listed longest first, then by source name. This is the partition a
+    greedy longest-path extraction gives when it breaks ties to the
+    lexicographically smallest vertex-name sequence.
+    """
+    tree = forest.tree
+    out = [-1] * tree.n
+    pending = [0] * tree.n  # arcs into each vertex not yet ordered
+    for src, dst in forest.arcs:
+        out[tree.index[src]] = tree.index[dst]
+        pending[tree.index[dst]] += 1
+    order = [x for x in range(tree.n) if not pending[x]]
+    for x in order:  # grows while it is read: each vertex after its in-neighbours
+        p = out[x]
+        if p >= 0:
+            pending[p] -= 1
+            if not pending[p]:
+                order.append(p)
+    return PathPartition.from_paths(
+        [tree.names[i] for i in path] for path in long_paths(out, order)
+    )
 
 
 def _require_nonincreasing(seq: Sequence[int], label: str) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .checked import checked
-from .errors import IllegalMoveError, NotSolvableError
+from .errors import IllegalMoveError, NotSolvableError, TreeFormatError
 from .tree import Distribution, Tree, WeightFunction, _content_lines
 
 
@@ -67,26 +67,6 @@ def _initial_values(tree: Tree, dist: Distribution, weights: WeightFunction) -> 
     return [checked(dist[name] - weights[name], "initial value") for name in tree.names]
 
 
-def _rooted(tree: Tree, root: int) -> tuple[list[int], list[int]]:
-    """Post-order (children in name order, root last) and parent array."""
-    n = len(tree.names)
-    parent = [-1] * n
-    seen = [False] * n
-    seen[root] = True
-    order: list[int] = []
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        for y in tree._adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                parent[y] = x
-                stack.append(y)
-    order.reverse()
-    return order, parent
-
-
 def _fold(value: int) -> int:
     return value // 2 if value >= 0 else 2 * value
 
@@ -109,6 +89,22 @@ def reduce_leaf(
     return smaller, GeneralizedDistribution(new_values)
 
 
+def _collapse(
+    tree: Tree, dist: Distribution, weights: WeightFunction, root: str
+) -> tuple[list[int], list[int], list[int]]:
+    """Fold every vertex into its parent in post-order toward ``root``.
+
+    Returns the values (each non-root entry as it was when folded, the
+    root's entry the collapsed value), the post-order and the parents.
+    """
+    ir = tree._require(root)
+    values = _initial_values(tree, dist, weights)
+    order, parent, _ = tree._rooting(ir)
+    for x in order[:-1]:
+        values[parent[x]] = checked(values[parent[x]] + _fold(values[x]), "induced value")
+    return values, order, parent
+
+
 def hat_c(tree: Tree, dist: Distribution, weights: WeightFunction, root: str) -> int:
     """Collapse the whole tree onto ``root`` and return the remaining value.
 
@@ -116,12 +112,8 @@ def hat_c(tree: Tree, dist: Distribution, weights: WeightFunction, root: str) ->
     post-order until only ``root`` is left, without building the
     intermediate trees.
     """
-    ir = tree._require(root)
-    values = _initial_values(tree, dist, weights)
-    order, parent = _rooted(tree, ir)
-    for x in order[:-1]:
-        values[parent[x]] = checked(values[parent[x]] + _fold(values[x]), "induced value")
-    return values[ir]
+    values, order, _ = _collapse(tree, dist, weights, root)
+    return values[order[-1]]
 
 
 def is_solvable(tree: Tree, dist: Distribution, weights: WeightFunction) -> SolvabilityCertificate:
@@ -142,16 +134,11 @@ def solve_witness(
     own deficit is always settled before it feeds a child. Requires the
     root's collapsed value to be nonnegative.
     """
-    ir = tree._require(root)
-    values = _initial_values(tree, dist, weights)
-    order, parent = _rooted(tree, ir)
-    fold_value = [0] * len(values)
-    for x in order[:-1]:
-        fold_value[x] = values[x]
-        values[parent[x]] = checked(values[parent[x]] + _fold(values[x]), "induced value")
-    if values[ir] < 0:
+    fold_value, order, parent = _collapse(tree, dist, weights, root)
+    ir = order[-1]
+    if fold_value[ir] < 0:
         raise NotSolvableError(
-            f"root '{root}' cannot be satisfied (collapsed value {values[ir]})"
+            f"root '{root}' cannot be satisfied (collapsed value {fold_value[ir]})"
         )
 
     names = tree.names
@@ -204,7 +191,7 @@ def parse_moves(text: str, tree: Tree) -> list[PebblingMove]:
     for lineno, line in _content_lines(text):
         tokens = line.split()
         if len(tokens) != 2:
-            raise ValueError(f"line {lineno}: expected 'from to'")
+            raise TreeFormatError(f"line {lineno}: expected 'from to'")
         src, dst = tokens
         tree._require(src)
         tree._require(dst)

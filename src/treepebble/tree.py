@@ -11,15 +11,21 @@ File formats (UTF-8, newline separated, full-line '#' comments):
 * tree documents: one edge ``u v`` per line; a bare name on a line declares
   an isolated vertex (only useful for the single-vertex tree).
 * vertex-valued maps (weights, distributions): lines ``v k`` with ``k`` a
-  nonnegative decimal integer; vertices absent from the file take value 0.
+  nonnegative decimal integer below 2^63; vertices absent from the file take
+  value 0.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import re
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import TreeFormatError, UnknownVertexError
+from .checked import INT64_MAX
+from .errors import OverflowLimitError, TreeFormatError, UnknownVertexError
+
+# a vertex-map count: an optional minus sign (rejected with its own message)
+# and ASCII digits; int() alone would also take '+', '_' and non-ASCII digits
+_COUNT = re.compile(r"(-?)[0-9]+")
 
 
 def _check_name(name: str) -> str:
@@ -76,7 +82,7 @@ class Tree:
         # sorted names make index order equal name order
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
 
-        if not self._connected():
+        if len(self._rooting(0)[0]) != len(self.names):
             raise TreeFormatError("edges do not form a connected graph (disconnected)")
         if len(self.edges) != len(self.names) - 1:
             raise TreeFormatError("cycle detected: edge count exceeds vertex count - 1")
@@ -110,43 +116,36 @@ class Tree:
 
     # -- distances -----------------------------------------------------
 
-    def _bfs(self, start: int) -> list[int]:
-        dist = [-1] * len(self.names)
-        dist[start] = 0
-        queue: deque[int] = deque((start,))
-        while queue:
-            x = queue.popleft()
-            for y in self._adj[x]:
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        return dist
+    def _rooting(self, root: int) -> tuple[list[int], list[int], list[int]]:
+        """Post-order (children in name order, root last), parent and depth arrays.
 
-    def _connected(self) -> bool:
-        return all(d >= 0 for d in self._bfs(0))
-
-    def _parents(self, root: int) -> list[int]:
-        parent = [-1] * len(self.names)
-        parent[root] = root
-        queue: deque[int] = deque((root,))
-        while queue:
-            x = queue.popleft()
+        Only vertices reachable from ``root`` are listed; its parent is -1.
+        """
+        n = len(self.names)
+        parent = [-1] * n
+        depth = [-1] * n
+        depth[root] = 0
+        order: list[int] = []
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            order.append(x)
             for y in self._adj[x]:
-                if parent[y] < 0:
+                if depth[y] < 0:
+                    depth[y] = depth[x] + 1
                     parent[y] = x
-                    queue.append(y)
-        return parent
+                    stack.append(y)
+        order.reverse()
+        return order, parent, depth
 
     def distance(self, u: str, v: str) -> int:
         """Number of edges on the unique u-v path."""
         iu, iv = self._require(u), self._require(v)
-        if iu == iv:
-            return 0
-        return self._bfs(iu)[iv]
+        return self._rooting(iu)[2][iv]
 
     def distances_from(self, v: str) -> dict[str, int]:
         """Distance from ``v`` to every vertex, keyed by name."""
-        row = self._bfs(self._require(v))
+        row = self._rooting(self._require(v))[2]
         return {name: row[i] for i, name in enumerate(self.names)}
 
     # -- subtrees and orientations --------------------------------------
@@ -157,24 +156,14 @@ class Tree:
         With no extra vertices this is the single-vertex tree on ``v``.
         """
         iv = self._require(v)
-        targets = sorted({self._require(u) for u in others})
-        if not targets:
-            return Tree((), (v,))
-        parent = self._parents(iv)
+        targets = [self._require(u) for u in others]
+        parent = self._rooting(iv)[1]
         keep: set[int] = {iv}
-        for it in targets:
-            x = it
+        for x in targets:
             while x not in keep:
                 keep.add(x)
                 x = parent[x]
-        edges = []
-        for x in keep:
-            if x == iv:
-                continue
-            p = parent[x]
-            a, b = self.names[x], self.names[p]
-            edges.append((a, b) if a < b else (b, a))
-        return Tree(edges, (v,))
+        return Tree([(self.names[x], self.names[parent[x]]) for x in keep if x != iv], (v,))
 
     def orient_toward(self, sink: Union["Tree", Iterable[str]]) -> "DirectedForest":
         """Direct every edge outside ``sink`` one step along its path into ``sink``.
@@ -198,29 +187,12 @@ class Tree:
                 self._require(name)
 
         idxs = {self.index[s] for s in sink_names}
-        # connectivity of the induced sink inside this tree
-        first = min(idxs)
-        reached = {first}
-        queue: deque[int] = deque((first,))
-        while queue:
-            x = queue.popleft()
-            for y in self._adj[x]:
-                if y in idxs and y not in reached:
-                    reached.add(y)
-                    queue.append(y)
-        if reached != idxs:
+        # rooted inside the sink, every other sink vertex must hang from one,
+        # and every vertex outside steps toward the sink through its parent
+        order, parent, _ = self._rooting(min(idxs))
+        if any(parent[i] >= 0 and parent[i] not in idxs for i in idxs):
             raise ValueError("sink is not connected inside the tree")
-
-        arcs: list[tuple[str, str]] = []
-        visited = set(idxs)
-        queue = deque(sorted(idxs))
-        while queue:
-            x = queue.popleft()
-            for y in self._adj[x]:
-                if y not in visited:
-                    visited.add(y)
-                    arcs.append((self.names[y], self.names[x]))
-                    queue.append(y)
+        arcs = [(self.names[x], self.names[parent[x]]) for x in order if x not in idxs]
         return DirectedForest(self, arcs, sorted(sink_names))
 
     # -- dunder --------------------------------------------------------
@@ -413,7 +385,10 @@ def tree_id(tree: Tree) -> str:
 
 
 def parse_vertex_map(text: str, tree: Tree) -> dict[str, int]:
-    """Parse ``v k`` lines into a name -> nonnegative int map over ``tree``."""
+    """Parse ``v k`` lines into a name -> nonnegative int map over ``tree``.
+
+    A count is ASCII digits only; one above 2^63 - 1 raises OverflowLimitError.
+    """
     values: dict[str, int] = {}
     for lineno, line in _content_lines(text):
         tokens = line.split()
@@ -423,13 +398,17 @@ def parse_vertex_map(text: str, tree: Tree) -> dict[str, int]:
         tree._require(name)
         if name in values:
             raise TreeFormatError(f"line {lineno}: duplicate entry for vertex '{name}'")
-        try:
-            count = int(raw, 10)
-        except ValueError:
-            raise TreeFormatError(f"line {lineno}: '{raw}' is not a decimal integer") from None
-        if count < 0:
+        match = _COUNT.fullmatch(raw)
+        if match is None:
+            raise TreeFormatError(f"line {lineno}: '{raw}' is not a decimal integer")
+        if match.group(1):
             raise TreeFormatError(f"line {lineno}: negative count for vertex '{name}'")
-        values[name] = count
+        # the length test keeps int() off strings it would refuse or crawl through
+        if len(raw.lstrip("0")) > len(str(INT64_MAX)) or int(raw) > INT64_MAX:
+            raise OverflowLimitError(
+                f"line {lineno}: count for vertex '{name}' exceeds the signed 64-bit range"
+            )
+        values[name] = int(raw)
     return values
 
 

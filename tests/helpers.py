@@ -1,7 +1,9 @@
 """Shared test machinery: tree families, random instances, reference folds.
 
 Everything here is deliberately independent of the package internals it is
-used to check; trees are built through the public constructors only.
+used to check; trees are built through the public constructors only. The
+score references reuse only the package's 64-bit guards, so that overflow
+messages can be compared too.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ import itertools
 import random
 from functools import lru_cache
 
-from treepebble import Distribution, Tree, WeightFunction
+from treepebble import Distribution, PathPartition, Tree, WeightFunction, partition_score
+from treepebble.checked import checked, pow2
 
 
 def tree(text: str) -> Tree:
@@ -150,3 +153,78 @@ def fold_hat_random_order(
         del adj[v]
         alive.discard(v)
     return values[root]
+
+
+def greedy_partition(forest, rng: random.Random | None = None) -> PathPartition:
+    """Reference maximum path partition: extract a longest remaining path until no arcs remain.
+
+    Ties between equally long candidates break to the lexicographically
+    smallest vertex-name sequence, or to a random candidate with ``rng``
+    (which changes the paths but not the size sequence).
+    """
+    out = dict(forest.arcs)
+    paths: list[tuple[str, ...]] = []
+    while out:
+        # longest chain length starting at each remaining arc source
+        length: dict[str, int] = {}
+        for u in out:
+            chase: list[str] = []
+            x = u
+            while x in out and x not in length:
+                chase.append(x)
+                x = out[x]
+            base = length.get(x, 0)
+            for y in reversed(chase):
+                base += 1
+                length[y] = base
+        best = max(length.values())
+        if best == 1:
+            # nothing chains anymore: every remaining arc is its own path,
+            # and the tie-break would emit them in sorted order one by one
+            paths.extend((src, out[src]) for src in sorted(out))
+            break
+
+        def walk(start: str) -> tuple[str, ...]:
+            seq = [start]
+            for _ in range(best):
+                seq.append(out[seq[-1]])
+            return tuple(seq)
+
+        candidates = sorted(u for u, size in length.items() if size == best)
+        path = min(walk(u) for u in candidates) if rng is None else walk(rng.choice(candidates))
+        for name in path[:-1]:
+            del out[name]
+        paths.append(path)
+    return PathPartition(tuple(paths), tuple(len(p) - 1 for p in paths))
+
+
+def reference_s_omega(t: Tree, weights: WeightFunction, v: str) -> tuple[int, PathPartition]:
+    """Score of root ``v`` from the Steiner subtree, its orientation and the greedy.
+
+    Sums in the same order and with the same overflow checks as the
+    package, so an overflow reports the same message.
+    """
+    dist = t.distances_from(v)
+    part = greedy_partition(t.orient_toward(t.minimal_subtree(v, weights.support)))
+    total = 0
+    for u, k in weights.items():
+        total = checked(total + checked(k * pow2(dist[u], "demand term"), "demand term"), "cover score")
+    for a in part.sizes:
+        total = checked(total + pow2(a, "remainder term") - 1, "cover score")
+    return total, part
+
+
+def reference_cover(t: Tree, weights: WeightFunction) -> tuple[int, str, dict[str, int], Distribution]:
+    """gamma, argmax root, score table and extremal distribution, all from the reference score."""
+    table = {v: reference_s_omega(t, weights, v)[0] for v in t.names}
+    gamma = max(table.values())
+    root = min(v for v in t.names if table[v] == gamma)
+    part = reference_s_omega(t, weights, root)[1]
+    piles = [(path[0], 2**a - 1) for path, a in zip(part.paths, part.sizes)]
+    demand = sum(k * 2 ** t.distance(u, root) for u, k in weights.items())
+    return gamma, root, table, Distribution(piles + [(root, demand - 1)])
+
+
+def reference_t_pebbling(t: Tree, v: str, k: int) -> tuple[int, PathPartition]:
+    part = greedy_partition(t.orient_toward((v,)))
+    return (partition_score(part.sizes, k) if part.sizes else k), part

@@ -226,6 +226,32 @@ class TestErrorChannel:
         assert code == 3
         assert err.startswith("error: OVERFLOW:")
 
+    def test_count_above_int64_exit_three(self, tmp_path):
+        tree = tmp_path / "t.tree"
+        tree.write_text("a b\n")
+        dist = tmp_path / "d.map"
+        dist.write_text(f"b {2**70}\n")
+        moves = tmp_path / "m.moves"
+        moves.write_text("")
+        code, out, err = invoke(
+            "simulate", "--tree", str(tree), "--dist", str(dist), "--moves", str(moves)
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: OVERFLOW: line 1: count for vertex 'b'")
+
+    def test_malformed_move_file_is_format_error(self, tmp_path):
+        tree = tmp_path / "t.tree"
+        tree.write_text("a b\n")
+        dist = tmp_path / "d.map"
+        dist.write_text("a 2\n")
+        moves = tmp_path / "m.moves"
+        moves.write_text("# moves\na b\na\n")
+        code, out, err = invoke(
+            "simulate", "--tree", str(tree), "--dist", str(dist), "--moves", str(moves)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: FORMAT: line 3: expected 'from to'\n"
+
     def test_oracle_budget_exit_four(self, tmp_path):
         code, out, _ = invoke("gen-tree", "-n", "9", "--seed", "1")
         big = tmp_path / "big.tree"

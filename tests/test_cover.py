@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treepebble import (
+    CoverResult,
     Distribution,
     OverflowLimitError,
     Tree,
@@ -18,8 +19,15 @@ from treepebble import (
     s_omega_at,
     t_pebbling_global,
     t_pebbling_number,
+    TPebblingResult,
 )
-from helpers import random_weights, tree
+from helpers import (
+    random_weights,
+    reference_cover,
+    reference_s_omega,
+    reference_t_pebbling,
+    tree,
+)
 
 
 class TestTPebblingNumber:
@@ -205,3 +213,64 @@ def test_gamma_monotone_in_demand(n, seed, w_total, data):
     v = data.draw(st.sampled_from(t.names))
     bumped = WeightFunction({**dict(w.items()), v: w[v] + 1})
     assert cover_pebbling_number(t, bumped).gamma >= cover_pebbling_number(t, w).gamma
+
+
+def _named(edges, n, rng):
+    """Tree on vertices 0..n-1 with shuffled names, so name order hides the shape."""
+    names = [f"u{x:03d}" for x in rng.sample(range(1000), n)]
+    return Tree([(names[a], names[b]) for a, b in edges], names)
+
+
+def _reference_instances():
+    rng = random.Random(1903)
+    for n in (9, 40, 256):
+        yield random_tree(n, rng.randrange(2**32)), rng
+    yield _named([(0, i) for i in range(1, 256)], 256, rng), rng
+    spine = 48  # keeps the diameter, and so every 2^d, inside 64 bits
+    legs = [(rng.randrange(spine), x) for x in range(spine, 256)]
+    yield _named([(i, i + 1) for i in range(spine - 1)] + legs, 256, rng), rng
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_matches_steiner_subtree_and_greedy_reference(case):
+    t, rng = list(_reference_instances())[case]
+    k = rng.randint(1, 3)
+    for total in (1, 3, 7):
+        w = random_weights(t, total, rng)
+        gamma, root, table, extremal = reference_cover(t, w)
+        assert cover_pebbling_number(t, w) == CoverResult(gamma, root, table)
+        assert extremal_distribution(t, w) == extremal
+    best = (-1, "")
+    for v in t.names:
+        value, part = reference_t_pebbling(t, v, k)
+        assert t_pebbling_number(t, v, k) == TPebblingResult(value, part)
+        best = max(best, (value, v), key=lambda pair: pair[0])
+    assert t_pebbling_global(t, k) == best
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OverflowLimitError as exc:
+        return "OverflowLimitError", str(exc)
+
+
+def test_overflow_matches_reference():
+    names = [f"n{i:02d}" for i in range(70)]
+    deep = Tree([(names[i], names[i + 1]) for i in range(69)])
+    big = 2**62
+    cases = [
+        (deep, WeightFunction({names[0]: 1})),  # remainder path of 69 arcs
+        (deep, WeightFunction({names[5]: 1, names[60]: 1})),  # demand at distance 64
+        (tree("a b;b c"), WeightFunction({"a": big, "c": 1})),  # big demand doubled
+        (tree("a b;b c"), WeightFunction({"a": big - 1, "b": big - 1})),  # sum of two terms
+    ]
+    for t, w in cases:
+        for v in t.names:
+            expected = _outcome(lambda: reference_s_omega(t, w, v)[0])
+            assert _outcome(s_omega_at, t, w, v) == expected
+        expected = _outcome(lambda: reference_cover(t, w)[0])
+        assert _outcome(lambda: cover_pebbling_number(t, w).gamma) == expected
+    for v in deep.names:
+        expected = _outcome(lambda: reference_t_pebbling(deep, v, 1)[0])
+        assert _outcome(lambda: t_pebbling_number(deep, v, 1).value) == expected

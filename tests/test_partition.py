@@ -5,14 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treepebble import (
+    DirectedForest,
     OverflowLimitError,
     PathPartition,
+    Tree,
     majorize_cmp,
     max_path_partition,
     partition_score,
     random_tree,
 )
-from helpers import random_path_partition, tree
+from helpers import canonical_shape, greedy_partition, random_path_partition, tree
 
 
 class TestMaxPathPartition:
@@ -108,11 +110,10 @@ def test_greedy_majorizes_random_partitions(n, seed):
 @given(n=st.integers(2, 10), seed=st.integers(0, 10**6))
 def test_size_sequence_invariant_under_tie_break(n, seed):
     forest = _random_forest(n, seed)
-    reference = max_path_partition(forest)
+    sizes = max_path_partition(forest).sizes
     rng = random.Random(seed)
     for _ in range(5):
-        randomized = max_path_partition(forest, rng=rng)
-        assert randomized.sizes == reference.sizes
+        assert greedy_partition(forest, rng).sizes == sizes
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,3 +123,52 @@ def test_path_count_lower_bound(n, seed):
     p = max_path_partition(forest)
     if p.sizes:
         assert len(p.sizes) >= len(forest.arcs) / p.sizes[0]
+
+
+def _all_shapes(max_n):
+    """One tree per shape up to ``max_n`` vertices: every shape is a smaller one plus a leaf."""
+    layer = [Tree((), ("v0",))]
+    shapes = list(layer)
+    for n in range(1, max_n):
+        grown = {}
+        for t in layer:
+            for v in t.names:
+                bigger = Tree(t.edges + ((v, f"v{n}"),))
+                grown.setdefault(canonical_shape(bigger), bigger)
+        layer = list(grown.values())
+        shapes += layer
+    return shapes
+
+
+def _relabelings(t, rng, count):
+    """``count`` copies of ``t`` under random names, so name order differs from shape order."""
+    for _ in range(count):
+        names = rng.sample(range(10**6), t.n)
+        rename = {v: f"r{x:06d}" for v, x in zip(t.names, names)}
+        yield Tree([(rename[u], rename[v]) for u, v in t.edges], rename.values())
+
+
+def test_matches_greedy_on_all_small_trees():
+    # the root alone, and the Steiner subtree of the root and a random support
+    rng = random.Random(2019)
+    shapes = _all_shapes(8)
+    assert len(shapes) == 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23
+    checked = 0
+    for base in shapes:
+        for t in _relabelings(base, rng, 3):
+            for root in t.names:
+                support = rng.sample(t.names, rng.randint(1, t.n))
+                for sink in ((root,), t.minimal_subtree(root, support)):
+                    forest = t.orient_toward(sink)
+                    assert max_path_partition(forest) == greedy_partition(forest)
+                    checked += 1
+    assert checked == 2 * 3 * sum(t.n for t in shapes)
+
+
+def test_matches_greedy_on_hand_built_forest():
+    # two sinks at the ends: d points away from the long chain f -> c -> b -> a
+    t = tree("a b;b c;c d;d e;c f")
+    forest = DirectedForest(t, [("b", "a"), ("c", "b"), ("d", "e"), ("f", "c")], ["a", "e"])
+    part = max_path_partition(forest)
+    assert part.paths == (("f", "c", "b", "a"), ("d", "e"))
+    assert part == greedy_partition(forest)

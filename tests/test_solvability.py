@@ -11,6 +11,7 @@ from treepebble import (
     IllegalMoveError,
     NotSolvableError,
     PebblingMove,
+    TreeFormatError,
     WeightFunction,
     brute_solvable,
     hat_c,
@@ -210,6 +211,10 @@ class TestMoveDocuments:
     def test_unknown_vertex_rejected(self):
         with pytest.raises(Exception, match="unknown vertex"):
             parse_moves("a zz", tree("a b"))
+
+    def test_malformed_line_is_format_error(self):
+        with pytest.raises(TreeFormatError, match="line 2: expected 'from to'"):
+            parse_moves("a b\na b c\n", tree("a b"))
 
 
 @settings(max_examples=120, deadline=None)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from treepebble import (
     DirectedForest,
     Distribution,
+    OverflowLimitError,
     Tree,
     TreeFormatError,
     UnknownVertexError,
@@ -223,6 +224,24 @@ class TestVertexMapParsing:
     def test_non_integer_rejected(self):
         with pytest.raises(TreeFormatError, match="decimal"):
             parse_vertex_map("a x", tree("a b"))
+
+    @pytest.mark.parametrize("raw", ["1_0", "+3", "\u0663", "-x"])
+    def test_only_ascii_digits_accepted(self, raw):
+        # int() would read the first three as 10, 3 and 3
+        with pytest.raises(TreeFormatError, match="line 1: .* is not a decimal integer"):
+            parse_vertex_map(f"a {raw}", tree("a b"))
+
+    def test_negative_zero_rejected(self):
+        with pytest.raises(TreeFormatError, match="negative"):
+            parse_vertex_map("a -0", tree("a b"))
+
+    def test_largest_int64_accepted(self):
+        assert parse_vertex_map(f"a {2**63 - 1}\nb 007", tree("a b")) == {"a": 2**63 - 1, "b": 7}
+
+    @pytest.mark.parametrize("raw", [str(2**63), str(2**70), "9" * 5000, "0" * 30 + str(2**63)])
+    def test_above_int64_overflows(self, raw):
+        with pytest.raises(OverflowLimitError, match="line 2: count for vertex 'b' exceeds"):
+            parse_vertex_map(f"a 1\nb {raw}", tree("a b"))
 
 
 @settings(max_examples=80, deadline=None)
