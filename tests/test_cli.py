@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +45,15 @@ class TestPartitionCommand:
             "sizes": [2],
             "paths": [["a", "b", "c"]],
         }
+
+    def test_deep_path_has_no_score_to_overflow(self, tmp_path):
+        # t-pebbling this path overflows 2^63; its partition alone does not
+        names = [f"n{i:03d}" for i in range(66)]
+        deep = tmp_path / "deep.tree"
+        deep.write_text("".join(f"{names[i]} {names[i + 1]}\n" for i in range(65)))
+        code, out, err = invoke("partition", "--tree", str(deep), "--root", names[0])
+        assert (code, err) == (0, "")
+        assert out == "# partition root=n000\nsizes 65\npath " + " ".join(reversed(names)) + "\n"
 
 
 class TestTpebbleCommand:
@@ -294,3 +304,171 @@ class TestDeterminism:
         for argv in batches:
             assert invoke(*argv) == invoke(*argv)
             assert invoke(*argv, "--json") == invoke(*argv, "--json")
+
+
+# Exact bytes on the star fixture for every command, text and JSON, and for
+# each error class; files are named relative to the fixture's directory.
+GOLDEN_FILES = {
+    "dist.map": "b 8\n",
+    "short.map": "d 1\n",
+    "none.map": "",
+    "legal.moves": "b a\nb c\n",
+    "illegal.moves": "b a\nd b\n",
+    "unknown.map": "zz 1\n",
+    "huge.map": "a 9223372036854775808\n",
+    "cycle.tree": "a b\nb c\nc a\n",
+    "loop.tree": "a b\nb b\n",
+    "dup.tree": "a b\nb c\nc b\n",
+    "empty.tree": "# no vertices\n",
+    "single.tree": "a\n",
+}
+
+GOLDEN = [
+    ('partition --tree star.tree --root a', 0,
+     '# partition root=a\nsizes 2 1\npath c b a\npath d b\n',
+     ''),
+    ('partition --tree star.tree --root a --json', 0,
+     '{"command": "partition", "paths": [["c", "b", "a"], ["d", "b"]], "root": "a", "sizes": [2, 1]}\n',
+     ''),
+    ('tpebble --tree star.tree', 0,
+     '# tpebble t=1\nvalue 5\nargmax a\n',
+     ''),
+    ('tpebble --tree star.tree --json', 0,
+     '{"argmax": "a", "command": "tpebble", "t": 1, "value": 5}\n',
+     ''),
+    ('tpebble --tree star.tree --root d -t 3', 0,
+     '# tpebble root=d t=3\nvalue 13\nsizes 2 1\n',
+     ''),
+    ('tpebble --tree star.tree --root d -t 3 --json', 0,
+     '{"command": "tpebble", "root": "d", "sizes": [2, 1], "t": 3, "value": 13}\n',
+     ''),
+    ('cover --tree star.tree --weights demand.map', 0,
+     '# cover gamma=8 argmax=d\na 6\nb 5\nc 6\nd 8\n',
+     ''),
+    ('cover --tree star.tree --weights demand.map --json', 0,
+     '{"argmax": "d", "command": "cover", "degenerate": false, "gamma": 8, "s": {"a": 6, "b": 5, "c": 6, "d": 8}}\n',
+     ''),
+    ('cover --tree star.tree --weights none.map', 0,
+     '# cover gamma=0 argmax=none (degenerate demand: empty support)\n',
+     ''),
+    ('cover --tree star.tree --weights none.map --json', 0,
+     '{"argmax": null, "command": "cover", "degenerate": true, "gamma": 0, "s": {}}\n',
+     ''),
+    ('solvable --tree star.tree --weights demand.map --dist dist.map', 0,
+     'SOLVABLE a\n',
+     ''),
+    ('solvable --tree star.tree --weights demand.map --dist dist.map --json', 0,
+     '{"command": "solvable", "hat": {"a": 2, "b": 4, "c": 2, "d": 2}, "solvable": true, "witness_root": "a"}\n',
+     ''),
+    ('solvable --tree star.tree --weights demand.map --dist short.map', 1,
+     'UNSOLVABLE\n# hat value per root\na -5\nb -4\nc -5\nd -7\n',
+     ''),
+    ('solvable --tree star.tree --weights demand.map --dist short.map --json', 1,
+     '{"command": "solvable", "hat": {"a": -5, "b": -4, "c": -5, "d": -7}, "solvable": false, "witness_root": null}\n',
+     ''),
+    ('witness --tree star.tree --weights demand.map --dist dist.map', 0,
+     '# witness root=a moves=4\nb a\nb a\nb a\nb c\n',
+     ''),
+    ('witness --tree star.tree --weights demand.map --dist dist.map --json', 0,
+     '{"command": "witness", "moves": [["b", "a"], ["b", "a"], ["b", "a"], ["b", "c"]], "root": "a"}\n',
+     ''),
+    ('witness --tree star.tree --weights demand.map --dist dist.map --root a', 0,
+     '# witness root=a moves=4\nb a\nb a\nb a\nb c\n',
+     ''),
+    ('witness --tree star.tree --weights demand.map --dist dist.map --root a --json', 0,
+     '{"command": "witness", "moves": [["b", "a"], ["b", "a"], ["b", "a"], ["b", "c"]], "root": "a"}\n',
+     ''),
+    ('simulate --tree star.tree --dist dist.map --moves legal.moves', 0,
+     '# final size=6\na 1\nb 4\nc 1\nd 0\n',
+     ''),
+    ('simulate --tree star.tree --dist dist.map --moves legal.moves --json', 0,
+     '{"command": "simulate", "final": {"a": 1, "b": 4, "c": 1}, "size": 6}\n',
+     ''),
+    ('simulate --tree star.tree --dist dist.map --moves illegal.moves', 1,
+     "ILLEGAL 1 source 'd' has 0 pebbles\n",
+     ''),
+    ('simulate --tree star.tree --dist dist.map --moves illegal.moves --json', 1,
+     '{"command": "simulate", "illegal_index": 1, "reason": "source \'d\' has 0 pebbles"}\n',
+     ''),
+    ('extremal --tree star.tree --weights demand.map', 0,
+     '# extremal gamma=8 size=7 root=d\na 0\nb 0\nc 0\nd 7\n',
+     ''),
+    ('extremal --tree star.tree --weights demand.map --json', 0,
+     '{"command": "extremal", "distribution": {"d": 7}, "gamma": 8, "root": "d", "size": 7}\n',
+     ''),
+    ('verify --tree star.tree --weights demand.map', 0,
+     'status PASS\nformula_gamma 8\noracle_gamma 8\nconfirmation full\ndistributions_checked 282\ntree a b;b c;b d\nomega a 1;c 1\nwitness d 7\n',
+     ''),
+    ('verify --tree star.tree --weights demand.map --json', 0,
+     '{"command": "verify", "confirmation": "full", "distributions_checked": 282, "formula_gamma": 8, "omega": {"a": 1, "c": 1}, "oracle_gamma": 8, "status": "PASS", "tree": "a b;b c;b d", "witness": {"d": 7}}\n',
+     ''),
+    ('gen-tree -n 7 --seed 3', 0,
+     'v1 v2\nv2 v3\nv2 v5\nv3 v7\nv4 v5\nv5 v6\n',
+     ''),
+    ('gen-tree -n 7 --seed 3 --json', 0,
+     '{"command": "gen-tree", "edges": [["v1", "v2"], ["v2", "v3"], ["v2", "v5"], ["v3", "v7"], ["v4", "v5"], ["v5", "v6"]], "n": 7, "seed": 3, "vertices": ["v1", "v2", "v3", "v4", "v5", "v6", "v7"]}\n',
+     ''),
+    ('partition --tree single.tree --root a', 0,
+     '# partition root=a\nsizes\n',
+     ''),
+    ('partition --tree single.tree --root a --json', 0,
+     '{"command": "partition", "paths": [], "root": "a", "sizes": []}\n',
+     ''),
+    ('tpebble --tree single.tree --root a -t 2', 0,
+     '# tpebble root=a t=2\nvalue 2\nsizes\n',
+     ''),
+    ('tpebble --tree single.tree --root a -t 2 --json', 0,
+     '{"command": "tpebble", "root": "a", "sizes": [], "t": 2, "value": 2}\n',
+     ''),
+    ('partition --tree cycle.tree --root a', 2,
+     '',
+     'error: FORMAT: cycle detected: edge count exceeds vertex count - 1\n'),
+    ('cover --tree loop.tree --weights demand.map', 2,
+     '',
+     "error: FORMAT: line 2: self-loop at vertex 'b'\n"),
+    ('cover --tree dup.tree --weights demand.map', 2,
+     '',
+     'error: FORMAT: line 3: duplicate edge c b\n'),
+    ('cover --tree empty.tree --weights demand.map', 2,
+     '',
+     'error: FORMAT: empty input: no vertices declared\n'),
+    ('partition --tree star.tree --root zz', 2,
+     '',
+     "error: UNKNOWN_VERTEX: unknown vertex 'zz'\n"),
+    ('cover --tree star.tree --weights unknown.map', 2,
+     '',
+     "error: UNKNOWN_VERTEX: unknown vertex 'zz'\n"),
+    ('simulate --tree star.tree --dist huge.map --moves legal.moves', 3,
+     '',
+     "error: OVERFLOW: line 1: count for vertex 'a' exceeds the signed 64-bit range\n"),
+    ('witness --tree star.tree --weights demand.map --dist short.map', 1,
+     '',
+     'error: UNSOLVABLE: distribution cannot meet the demand from any root\n'),
+    ('extremal --tree star.tree --weights none.map', 2,
+     '',
+     'error: VALUE: demand has empty support, no extremal distribution exists\n'),
+    ('cover --weights demand.map', 2,
+     '',
+     'error: USAGE: the following arguments are required: --tree\n'),
+    ('cover --weights demand.map --json', 2,
+     '',
+     'error: USAGE: the following arguments are required: --tree\n'),
+    ('tpebble --tree star.tree -t x', 2,
+     '',
+     "error: USAGE: argument -t: invalid int value: 'x'\n"),
+    ('tpebble --tree star.tree --root a -t 0', 2,
+     '',
+     'error: VALUE: pebble target k must be at least 1\n'),
+    ('verify --tree star.tree --weights demand.map --max-pebbles 3', 4,
+     '',
+     'error: BUDGET: size scan passed max_pebbles=3\n'),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", GOLDEN, ids=[row[0] for row in GOLDEN])
+def test_golden_bytes(star, argv, code, out, err):
+    folder = Path(star[0]).parent
+    for name, text in GOLDEN_FILES.items():
+        (folder / name).write_text(text)
+    tokens = [str(folder / t) if (folder / t).exists() else t for t in argv.split()]
+    assert invoke(*tokens) == (code, out, err)
