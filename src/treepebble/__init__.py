@@ -29,19 +29,16 @@ from .errors import (
 from .oracle import (
     VerificationReport,
     brute_solvable,
-    enumerate_distributions,
     random_tree,
     verify_gamma,
 )
 from .partition import PathPartition, majorize_cmp, max_path_partition, partition_score
 from .solvability import (
-    GeneralizedDistribution,
     PebblingMove,
     SolvabilityCertificate,
     hat_c,
     is_solvable,
     parse_moves,
-    reduce_leaf,
     serialize_moves,
     simulate,
     solve_witness,
@@ -66,7 +63,6 @@ __all__ = [
     "CoverResult",
     "DirectedForest",
     "Distribution",
-    "GeneralizedDistribution",
     "IllegalMoveError",
     "NotSolvableError",
     "OverflowLimitError",
@@ -82,7 +78,6 @@ __all__ = [
     "WeightFunction",
     "brute_solvable",
     "cover_pebbling_number",
-    "enumerate_distributions",
     "extremal_distribution",
     "hat_c",
     "is_solvable",
@@ -95,7 +90,6 @@ __all__ = [
     "parse_weights",
     "partition_score",
     "random_tree",
-    "reduce_leaf",
     "s_omega_at",
     "serialize_moves",
     "serialize_tree",

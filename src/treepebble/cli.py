@@ -5,6 +5,14 @@ name under a single ``#`` header line, and ``--json`` emits the structured
 equivalent with sorted keys. Exit codes: 0 success, 1 negative verdict
 (UNSOLVABLE, verify MISMATCH, illegal replay), 2 usage or input errors,
 3 overflow, 4 oracle budget exceeded.
+
+Each command is one row of ``COMMANDS``: its help line, its arguments, a
+handler and a text renderer. ``run`` parses the arguments and loads the
+input files among them (``--tree`` first, then ``--weights``, ``--dist``
+and ``--moves`` over that tree). The handler returns an exit code and one
+payload dict. With ``--json`` the payload and the command name are printed
+as one sorted-key JSON line; otherwise the renderer prints the payload as
+text. ``_FAILURES`` maps each error type to its stderr label and exit code.
 """
 
 from __future__ import annotations
@@ -12,9 +20,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import IO, Sequence
+from typing import IO, Callable, Mapping, NamedTuple, Sequence
 
-from .cover import _extremal_at, cover_pebbling_number, t_pebbling_global, t_pebbling_number
+from .cover import (
+    _extremal_at,
+    _partition_toward,
+    cover_pebbling_number,
+    t_pebbling_global,
+    t_pebbling_number,
+)
 from .errors import (
     BudgetExceededError,
     IllegalMoveError,
@@ -23,10 +37,16 @@ from .errors import (
     TreeFormatError,
     UnknownVertexError,
 )
-from .oracle import random_tree, verify_gamma
-from .partition import max_path_partition
-from .solvability import is_solvable, parse_moves, serialize_moves, simulate, solve_witness
-from .tree import Tree, parse_distribution, parse_tree, parse_weights, serialize_tree
+from .oracle import _report_text, random_tree, verify_gamma
+from .solvability import (
+    PebblingMove,
+    is_solvable,
+    parse_moves,
+    serialize_moves,
+    simulate,
+    solve_witness,
+)
+from .tree import Distribution, _edge_list, parse_distribution, parse_tree, parse_weights
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -49,300 +69,293 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# error type -> stderr label and exit code; the first matching row wins
+_FAILURES = (
+    (_UsageError, "USAGE", EXIT_USAGE),
+    (TreeFormatError, "FORMAT", EXIT_USAGE),
+    (UnknownVertexError, "UNKNOWN_VERTEX", EXIT_USAGE),
+    (NotSolvableError, "UNSOLVABLE", EXIT_NEGATIVE),
+    (IllegalMoveError, "ILLEGAL_MOVE", EXIT_NEGATIVE),
+    (OverflowLimitError, "OVERFLOW", EXIT_OVERFLOW),
+    (BudgetExceededError, "BUDGET", EXIT_BUDGET),
+    (OSError, "IO", EXIT_USAGE),
+    (ValueError, "VALUE", EXIT_USAGE),
+)
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
 
 
-def _load_tree(args) -> Tree:
-    return parse_tree(_read(args.tree))
+def _jsonable(value: object) -> object:
+    """JSON form of the package objects a payload may hold."""
+    if isinstance(value, PebblingMove):
+        return [value.src, value.dst]
+    if isinstance(value, Distribution):
+        return dict(value.items())
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _emit_json(out: IO[str], payload: dict) -> None:
-    out.write(json.dumps(payload, sort_keys=True) + "\n")
+def _sizes_line(sizes: Sequence[int]) -> str:
+    return "sizes" + "".join(f" {a}" for a in sizes) + "\n"
 
 
-def _warn_quadratic(tree: Tree, err: IO[str], command: str) -> None:
-    if tree.n > QUADRATIC_WARN_SIZE:
-        err.write(
-            f"warning: {command} repeats a linear pass for every root; "
-            f"{tree.n} vertices will be slow\n"
-        )
+def _table(out: IO[str], header: str, names: Sequence[str], values: Mapping[str, int]) -> None:
+    out.write(header)
+    for name in names:
+        out.write(f"{name} {values[name]}\n")
 
 
-def _cmd_partition(args, out: IO[str], err: IO[str]) -> int:
-    tree = _load_tree(args)
-    tree._require(args.root)
-    part = max_path_partition(tree.orient_toward((args.root,)))
-    if args.json:
-        _emit_json(
-            out,
-            {
-                "command": "partition",
-                "root": args.root,
-                "sizes": list(part.sizes),
-                "paths": [list(p) for p in part.paths],
-            },
-        )
-        return EXIT_OK
-    out.write(f"# partition root={args.root}\n")
-    out.write("sizes" + "".join(f" {a}" for a in part.sizes) + "\n")
-    for path in part.paths:
+def _partition(a) -> tuple[int, dict]:
+    part = _partition_toward(a.tree, a.root)
+    return EXIT_OK, {"root": a.root, "sizes": part.sizes, "paths": part.paths}
+
+
+def _partition_text(out: IO[str], p: dict, a) -> None:
+    out.write(f"# partition root={p['root']}\n" + _sizes_line(p["sizes"]))
+    for path in p["paths"]:
         out.write("path " + " ".join(path) + "\n")
-    return EXIT_OK
 
 
-def _cmd_tpebble(args, out: IO[str], err: IO[str]) -> int:
-    tree = _load_tree(args)
-    if args.root is not None:
-        result = t_pebbling_number(tree, args.root, args.t)
-        if args.json:
-            _emit_json(
-                out,
-                {
-                    "command": "tpebble",
-                    "t": args.t,
-                    "root": args.root,
-                    "value": result.value,
-                    "sizes": list(result.partition.sizes),
-                },
-            )
-            return EXIT_OK
-        out.write(f"# tpebble root={args.root} t={args.t}\n")
-        out.write(f"value {result.value}\n")
-        out.write("sizes" + "".join(f" {a}" for a in result.partition.sizes) + "\n")
-        return EXIT_OK
-    value, argmax = t_pebbling_global(tree, args.t)
-    if args.json:
-        _emit_json(
-            out, {"command": "tpebble", "t": args.t, "value": value, "argmax": argmax}
-        )
-        return EXIT_OK
-    out.write(f"# tpebble t={args.t}\n")
-    out.write(f"value {value}\n")
-    out.write(f"argmax {argmax}\n")
-    return EXIT_OK
+def _tpebble(a) -> tuple[int, dict]:
+    if a.root is None:
+        value, argmax = t_pebbling_global(a.tree, a.t)
+        return EXIT_OK, {"t": a.t, "value": value, "argmax": argmax}
+    result = t_pebbling_number(a.tree, a.root, a.t)
+    sizes = result.partition.sizes
+    return EXIT_OK, {"t": a.t, "root": a.root, "value": result.value, "sizes": sizes}
 
 
-def _cmd_cover(args, out: IO[str], err: IO[str]) -> int:
-    tree = _load_tree(args)
-    weights = parse_weights(_read(args.weights), tree)
-    _warn_quadratic(tree, err, "cover")
-    result = cover_pebbling_number(tree, weights)
-    if args.json:
-        _emit_json(
-            out,
-            {
-                "command": "cover",
-                "gamma": result.gamma,
-                "argmax": result.argmax_root,
-                "s": result.per_vertex_s,
-                "degenerate": result.argmax_root is None,
-            },
-        )
-        return EXIT_OK
-    if result.argmax_root is None:
+def _tpebble_text(out: IO[str], p: dict, a) -> None:
+    if a.root is None:
+        out.write(f"# tpebble t={p['t']}\nvalue {p['value']}\nargmax {p['argmax']}\n")
+    else:
+        out.write(f"# tpebble root={p['root']} t={p['t']}\nvalue {p['value']}\n")
+        out.write(_sizes_line(p["sizes"]))
+
+
+def _cover(a) -> tuple[int, dict]:
+    result = cover_pebbling_number(a.tree, a.weights)
+    return EXIT_OK, {
+        "gamma": result.gamma,
+        "argmax": result.argmax_root,
+        "s": result.per_vertex_s,
+        "degenerate": result.argmax_root is None,
+    }
+
+
+def _cover_text(out: IO[str], p: dict, a) -> None:
+    if p["degenerate"]:
         out.write("# cover gamma=0 argmax=none (degenerate demand: empty support)\n")
-        return EXIT_OK
-    out.write(f"# cover gamma={result.gamma} argmax={result.argmax_root}\n")
-    for name in tree.names:
-        out.write(f"{name} {result.per_vertex_s[name]}\n")
-    return EXIT_OK
+    else:
+        _table(out, f"# cover gamma={p['gamma']} argmax={p['argmax']}\n", a.tree.names, p["s"])
 
 
-def _cmd_solvable(args, out: IO[str], err: IO[str]) -> int:
-    tree = _load_tree(args)
-    weights = parse_weights(_read(args.weights), tree)
-    dist = parse_distribution(_read(args.dist), tree)
-    _warn_quadratic(tree, err, "solvable")
-    cert = is_solvable(tree, dist, weights)
-    if args.json:
-        _emit_json(
-            out,
-            {
-                "command": "solvable",
-                "solvable": cert.solvable,
-                "witness_root": cert.witness_root,
-                "hat": cert.hat_values,
-            },
-        )
-        return EXIT_OK if cert.solvable else EXIT_NEGATIVE
-    if cert.solvable:
-        out.write(f"SOLVABLE {cert.witness_root}\n")
-        return EXIT_OK
-    out.write("UNSOLVABLE\n")
-    out.write("# hat value per root\n")
-    for name in tree.names:
-        out.write(f"{name} {cert.hat_values[name]}\n")
-    return EXIT_NEGATIVE
+def _solvable(a) -> tuple[int, dict]:
+    cert = is_solvable(a.tree, a.dist, a.weights)
+    payload = {"solvable": cert.solvable, "witness_root": cert.witness_root, "hat": cert.hat_values}
+    return (EXIT_OK if cert.solvable else EXIT_NEGATIVE), payload
 
 
-def _cmd_witness(args, out: IO[str], err: IO[str]) -> int:
-    tree = _load_tree(args)
-    weights = parse_weights(_read(args.weights), tree)
-    dist = parse_distribution(_read(args.dist), tree)
-    root = args.root
+def _solvable_text(out: IO[str], p: dict, a) -> None:
+    if p["solvable"]:
+        out.write(f"SOLVABLE {p['witness_root']}\n")
+    else:
+        _table(out, "UNSOLVABLE\n# hat value per root\n", a.tree.names, p["hat"])
+
+
+def _witness(a) -> tuple[int, dict]:
+    root = a.root
     if root is None:
-        cert = is_solvable(tree, dist, weights)
+        cert = is_solvable(a.tree, a.dist, a.weights)
         if not cert.solvable:
             raise NotSolvableError("distribution cannot meet the demand from any root")
         root = cert.witness_root
-    moves = solve_witness(tree, dist, weights, root)
-    if args.json:
-        _emit_json(
-            out,
-            {
-                "command": "witness",
-                "root": root,
-                "moves": [[mv.src, mv.dst] for mv in moves],
-            },
-        )
-        return EXIT_OK
-    out.write(f"# witness root={root} moves={len(moves)}\n")
-    out.write(serialize_moves(moves))
-    return EXIT_OK
+    return EXIT_OK, {"root": root, "moves": solve_witness(a.tree, a.dist, a.weights, root)}
 
 
-def _cmd_simulate(args, out: IO[str], err: IO[str]) -> int:
-    tree = _load_tree(args)
-    dist = parse_distribution(_read(args.dist), tree)
-    moves = parse_moves(_read(args.moves), tree)
+def _witness_text(out: IO[str], p: dict, a) -> None:
+    out.write(f"# witness root={p['root']} moves={len(p['moves'])}\n")
+    out.write(serialize_moves(p["moves"]))
+
+
+def _simulate(a) -> tuple[int, dict]:
     try:
-        final = simulate(tree, dist, moves)
+        final = simulate(a.tree, a.dist, a.moves)
     except IllegalMoveError as exc:
-        if args.json:
-            _emit_json(
-                out,
-                {"command": "simulate", "illegal_index": exc.index, "reason": exc.reason},
-            )
-            return EXIT_NEGATIVE
-        out.write(f"ILLEGAL {exc.index} {exc.reason}\n")
-        return EXIT_NEGATIVE
-    if args.json:
-        _emit_json(
-            out,
-            {
-                "command": "simulate",
-                "final": dict(final.items()),
-                "size": final.size,
-            },
-        )
-        return EXIT_OK
-    out.write(f"# final size={final.size}\n")
-    for name in tree.names:
-        out.write(f"{name} {final[name]}\n")
-    return EXIT_OK
+        return EXIT_NEGATIVE, {"illegal_index": exc.index, "reason": exc.reason}
+    return EXIT_OK, {"final": final, "size": final.size}
 
 
-def _cmd_extremal(args, out: IO[str], err: IO[str]) -> int:
-    tree = _load_tree(args)
-    weights = parse_weights(_read(args.weights), tree)
-    result = cover_pebbling_number(tree, weights)
+def _simulate_text(out: IO[str], p: dict, a) -> None:
+    if "final" in p:
+        _table(out, f"# final size={p['size']}\n", a.tree.names, p["final"])
+    else:
+        out.write(f"ILLEGAL {p['illegal_index']} {p['reason']}\n")
+
+
+def _extremal(a) -> tuple[int, dict]:
+    result = cover_pebbling_number(a.tree, a.weights)
     if result.argmax_root is None:
         raise ValueError("demand has empty support, no extremal distribution exists")
-    dist = _extremal_at(tree, weights, result.argmax_root)
-    if args.json:
-        _emit_json(
-            out,
-            {
-                "command": "extremal",
-                "gamma": result.gamma,
-                "root": result.argmax_root,
-                "size": dist.size,
-                "distribution": dict(dist.items()),
-            },
-        )
-        return EXIT_OK
-    out.write(f"# extremal gamma={result.gamma} size={dist.size} root={result.argmax_root}\n")
-    for name in tree.names:
-        out.write(f"{name} {dist[name]}\n")
-    return EXIT_OK
+    dist = _extremal_at(a.tree, a.weights, result.argmax_root)
+    return EXIT_OK, {
+        "gamma": result.gamma,
+        "root": result.argmax_root,
+        "size": dist.size,
+        "distribution": dist,
+    }
 
 
-def _cmd_verify(args, out: IO[str], err: IO[str]) -> int:
-    tree = _load_tree(args)
-    weights = parse_weights(_read(args.weights), tree)
-    report = verify_gamma(tree, weights, max_pebbles=args.max_pebbles)
-    if args.json:
-        payload = report.to_json_dict()
-        payload["command"] = "verify"
-        _emit_json(out, payload)
-    else:
-        out.write(report.to_text())
-    return EXIT_OK if report.status == "PASS" else EXIT_NEGATIVE
+def _extremal_text(out: IO[str], p: dict, a) -> None:
+    header = f"# extremal gamma={p['gamma']} size={p['size']} root={p['root']}\n"
+    _table(out, header, a.tree.names, p["distribution"])
 
 
-def _cmd_gen_tree(args, out: IO[str], err: IO[str]) -> int:
-    tree = random_tree(args.n, args.seed)
-    if args.json:
-        _emit_json(
-            out,
-            {
-                "command": "gen-tree",
-                "n": args.n,
-                "seed": args.seed,
-                "vertices": list(tree.names),
-                "edges": [list(e) for e in tree.edges],
-            },
-        )
-        return EXIT_OK
-    out.write(serialize_tree(tree))
-    return EXIT_OK
+def _verify(a) -> tuple[int, dict]:
+    report = verify_gamma(a.tree, a.weights, max_pebbles=a.max_pebbles)
+    return (EXIT_OK if report.status == "PASS" else EXIT_NEGATIVE), report.to_json_dict()
+
+
+def _gen_tree(a) -> tuple[int, dict]:
+    tree = random_tree(a.n, a.seed)
+    return EXIT_OK, {"n": a.n, "seed": a.seed, "vertices": tree.names, "edges": tree.edges}
+
+
+class _Command(NamedTuple):
+    help: str
+    args: tuple  # (flags, add_argument keywords) pairs, in usage order
+    # parsed arguments with the input files loaded -> (exit code, payload)
+    handler: Callable[[argparse.Namespace], tuple[int, dict]]
+    # (stdout, payload, parsed arguments) -> None
+    text: Callable[[IO[str], dict, argparse.Namespace], None]
+    all_roots: bool = False  # warn on stderr above QUADRATIC_WARN_SIZE vertices
+
+
+def _arg(*flags: str, **options) -> tuple:
+    return flags, options
+
+
+_TREE = _arg("--tree", required=True)
+_WEIGHTS = _arg("--weights", required=True)
+_DIST = _arg("--dist", required=True)
+
+COMMANDS = {
+    "partition": _Command(
+        "maximum path partition toward a root",
+        (
+            _arg("--tree", required=True, help="edge-list file"),
+            _arg("--root", required=True, help="orientation target vertex"),
+        ),
+        _partition,
+        _partition_text,
+    ),
+    "tpebble": _Command(
+        "t-pebbling number of a root or of the tree",
+        (
+            _TREE,
+            _arg("--root", help="target vertex; omit for the global maximum"),
+            _arg("-t", type=int, default=1, help="pebbles demanded at the root (default 1)"),
+        ),
+        _tpebble,
+        _tpebble_text,
+    ),
+    "cover": _Command(
+        "cover pebbling number and per-vertex score table",
+        (_TREE, _arg("--weights", required=True, help="vertex-valued demand file")),
+        _cover,
+        _cover_text,
+        all_roots=True,
+    ),
+    "solvable": _Command(
+        "decide solvability; exit 0/1",
+        (_TREE, _WEIGHTS, _arg("--dist", required=True, help="vertex-valued pebble file")),
+        _solvable,
+        _solvable_text,
+        all_roots=True,
+    ),
+    "witness": _Command(
+        "replayable move list meeting the demand",
+        (
+            _TREE,
+            _WEIGHTS,
+            _DIST,
+            _arg("--root", help="collapse root (default: the certificate's witness root)"),
+        ),
+        _witness,
+        _witness_text,
+    ),
+    "simulate": _Command(
+        "replay a move list over a distribution",
+        (_TREE, _DIST, _arg("--moves", required=True, help="move-list file, 'from to' per line")),
+        _simulate,
+        _simulate_text,
+    ),
+    "extremal": _Command(
+        "unsolvable distribution of size gamma-1",
+        (_TREE, _WEIGHTS),
+        _extremal,
+        _extremal_text,
+    ),
+    "verify": _Command(
+        "brute-force verification of the cover number",
+        (
+            _TREE,
+            _WEIGHTS,
+            _arg("--max-pebbles", type=int, default=512, help="size-scan ceiling (default 512)"),
+        ),
+        _verify,
+        lambda out, p, a: out.write(_report_text(p)),
+    ),
+    "gen-tree": _Command(
+        "random tree in edge-list format",
+        (
+            _arg("-n", type=int, required=True, help="vertex count"),
+            _arg("--seed", type=int, default=0, help="generator seed (default 0)"),
+        ),
+        _gen_tree,
+        lambda out, p, a: out.write(_edge_list(p["edges"], p["vertices"])),
+    ),
+}
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="treepebble", description=__doc__)
+    # --help shows the docstring without its last paragraph, which is about the code
+    parser = _Parser(prog="treepebble", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, func, help_text: str) -> _Parser:
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        return p
-
-    p = add("partition", _cmd_partition, "maximum path partition toward a root")
-    p.add_argument("--tree", required=True, help="edge-list file")
-    p.add_argument("--root", required=True, help="orientation target vertex")
-
-    p = add("tpebble", _cmd_tpebble, "t-pebbling number of a root or of the tree")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--root", help="target vertex; omit for the global maximum")
-    p.add_argument("-t", type=int, default=1, help="pebbles demanded at the root (default 1)")
-
-    p = add("cover", _cmd_cover, "cover pebbling number and per-vertex score table")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--weights", required=True, help="vertex-valued demand file")
-
-    p = add("solvable", _cmd_solvable, "decide solvability; exit 0/1")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--dist", required=True, help="vertex-valued pebble file")
-
-    p = add("witness", _cmd_witness, "replayable move list meeting the demand")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--dist", required=True)
-    p.add_argument("--root", help="collapse root (default: the certificate's witness root)")
-
-    p = add("simulate", _cmd_simulate, "replay a move list over a distribution")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--dist", required=True)
-    p.add_argument("--moves", required=True, help="move-list file, 'from to' per line")
-
-    p = add("extremal", _cmd_extremal, "unsolvable distribution of size gamma-1")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--weights", required=True)
-
-    p = add("verify", _cmd_verify, "brute-force verification of the cover number")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--max-pebbles", type=int, default=512, help="size-scan ceiling (default 512)")
-
-    p = add("gen-tree", _cmd_gen_tree, "random tree in edge-list format")
-    p.add_argument("-n", type=int, required=True, help="vertex count")
-    p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-
+        for flags, options in command.args:
+            p.add_argument(*flags, **options)
     return parser
+
+
+def _execute(argv: Sequence[str] | None, out: IO[str], err: IO[str]) -> int:
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
+    # the input files among the arguments: the tree first, the rest over it
+    if hasattr(args, "tree"):
+        args.tree = parse_tree(_read(args.tree))
+    if hasattr(args, "weights"):
+        args.weights = parse_weights(_read(args.weights), args.tree)
+    if hasattr(args, "dist"):
+        args.dist = parse_distribution(_read(args.dist), args.tree)
+    if hasattr(args, "moves"):
+        args.moves = parse_moves(_read(args.moves), args.tree)
+    if command.all_roots and args.tree.n > QUADRATIC_WARN_SIZE:
+        err.write(
+            f"warning: {args.command} repeats a linear pass for every root; "
+            f"{args.tree.n} vertices will be slow\n"
+        )
+    code, payload = command.handler(args)
+    if args.json:
+        payload = {"command": args.command, **payload}
+        out.write(json.dumps(payload, sort_keys=True, default=_jsonable) + "\n")
+    else:
+        command.text(out, payload, args)
+    return code
 
 
 def run(
@@ -352,43 +365,14 @@ def run(
 ) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        err.write(f"error: USAGE: {exc}\n")
-        return EXIT_USAGE
+        return _execute(argv, out, err)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args, out, err)
-    except _UsageError as exc:
-        err.write(f"error: USAGE: {exc}\n")
-        return EXIT_USAGE
-    except TreeFormatError as exc:
-        err.write(f"error: FORMAT: {exc}\n")
-        return EXIT_USAGE
-    except UnknownVertexError as exc:
-        err.write(f"error: UNKNOWN_VERTEX: {exc}\n")
-        return EXIT_USAGE
-    except NotSolvableError as exc:
-        err.write(f"error: UNSOLVABLE: {exc}\n")
-        return EXIT_NEGATIVE
-    except IllegalMoveError as exc:
-        err.write(f"error: ILLEGAL_MOVE: {exc}\n")
-        return EXIT_NEGATIVE
-    except OverflowLimitError as exc:
-        err.write(f"error: OVERFLOW: {exc}\n")
-        return EXIT_OVERFLOW
-    except BudgetExceededError as exc:
-        err.write(f"error: BUDGET: {exc}\n")
-        return EXIT_BUDGET
-    except OSError as exc:
-        err.write(f"error: IO: {exc}\n")
-        return EXIT_USAGE
-    except ValueError as exc:
-        err.write(f"error: VALUE: {exc}\n")
-        return EXIT_USAGE
+    except tuple(kind for kind, _, _ in _FAILURES) as exc:
+        label, code = next((lb, code) for kind, lb, code in _FAILURES if isinstance(exc, kind))
+        err.write(f"error: {label}: {exc}\n")
+        return code
 
 
 def main() -> None:

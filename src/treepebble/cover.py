@@ -44,13 +44,18 @@ def t_pebbling_number(tree: Tree, v: str, k: int = 1) -> TPebblingResult:
     """
     if k < 1:
         raise ValueError("pebble target k must be at least 1")
-    order, parent, _ = tree._rooting(tree._require(v))
-    part = PathPartition.from_paths(
-        [tree.names[i] for i in path] for path in long_paths(parent, order)
-    )
+    part = _partition_toward(tree, v)
     if not part.sizes:
         return TPebblingResult(k, part)
     return TPebblingResult(partition_score(part.sizes, k), part)
+
+
+def _partition_toward(tree: Tree, v: str) -> PathPartition:
+    """Maximum path partition of ``tree`` with every edge oriented toward ``v``."""
+    order, parent, _ = tree._rooting(tree._require(v))
+    return PathPartition.from_paths(
+        [tree.names[i] for i in path] for path in long_paths(parent, order)
+    )
 
 
 def t_pebbling_global(tree: Tree, k: int = 1) -> tuple[int, str]:

@@ -25,12 +25,12 @@ from .errors import BudgetExceededError
 from .tree import Distribution, Tree, WeightFunction, tree_id
 
 DEFAULT_MAX_PEBBLES = 24
-DEFAULT_MAX_VERTICES = 8
-DEFAULT_ENUM_LIMIT = 10**7
-DEFAULT_MEMO_LIMIT = 10**7
+MAX_VERTICES = 8
+ENUM_LIMIT = 10**7
+MEMO_LIMIT = 10**7
 # full-support confirmation switches to leaf supports above this many
 # distributions, or the size scans would dwarf every other runtime bound
-DEFAULT_FULL_CONFIRM_LIMIT = 10_000
+FULL_CONFIRM_LIMIT = 10_000
 
 
 class _SearchSpace:
@@ -94,28 +94,23 @@ class _SearchSpace:
                     yield tuple(nxt)
 
 
-def _remember(
-    cache: dict[tuple[int, ...], bool], state: tuple[int, ...], verdict: bool, limit: int
-) -> bool:
-    if state not in cache and len(cache) >= limit:
-        raise BudgetExceededError(f"solvability memo exceeded {limit} states")
+def _remember(cache: dict[tuple[int, ...], bool], state: tuple[int, ...], verdict: bool) -> bool:
+    if state not in cache and len(cache) >= MEMO_LIMIT:
+        raise BudgetExceededError(f"solvability memo exceeded {MEMO_LIMIT} states")
     cache[state] = verdict
     return verdict
 
 
 def _search(
-    space: _SearchSpace,
-    start: tuple[int, ...],
-    cache: dict[tuple[int, ...], bool],
-    memo_limit: int,
+    space: _SearchSpace, start: tuple[int, ...], cache: dict[tuple[int, ...], bool]
 ) -> bool:
     known = cache.get(start)
     if known is not None:
         return known
     if space.dominates(start):
-        return _remember(cache, start, True, memo_limit)
+        return _remember(cache, start, True)
     if space.hopeless(start):
-        return _remember(cache, start, False, memo_limit)
+        return _remember(cache, start, False)
 
     frames: list[tuple[tuple[int, ...], Iterator[tuple[int, ...]]]] = [
         (start, space.successors(start))
@@ -132,11 +127,11 @@ def _search(
             if verdict is False:
                 continue
             if space.dominates(nxt):
-                _remember(cache, nxt, True, memo_limit)
+                _remember(cache, nxt, True)
                 solved = True
                 break
             if space.hopeless(nxt):
-                _remember(cache, nxt, False, memo_limit)
+                _remember(cache, nxt, False)
                 continue
             frames.append((nxt, space.successors(nxt)))
             pushed = True
@@ -144,10 +139,10 @@ def _search(
         if solved:
             # the whole stack is a chain of moves reaching a met demand
             for s, _ in frames:
-                _remember(cache, s, True, memo_limit)
+                _remember(cache, s, True)
             return True
         if not pushed:
-            _remember(cache, state, False, memo_limit)
+            _remember(cache, state, False)
             frames.pop()
     return False
 
@@ -158,8 +153,6 @@ def brute_solvable(
     weights: WeightFunction,
     *,
     max_pebbles: int = DEFAULT_MAX_PEBBLES,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-    memo_limit: int = DEFAULT_MEMO_LIMIT,
     prune: bool = True,
 ) -> bool:
     """Exhaustive reachability check: can some move sequence meet the demand?
@@ -168,13 +161,13 @@ def brute_solvable(
     the raw move space (useful for equivalence testing; the verdict is
     identical either way).
     """
-    if tree.n > max_vertices:
-        raise BudgetExceededError(f"tree has {tree.n} vertices, oracle bound is {max_vertices}")
+    if tree.n > MAX_VERTICES:
+        raise BudgetExceededError(f"tree has {tree.n} vertices, oracle bound is {MAX_VERTICES}")
     if dist.size > max_pebbles:
         raise BudgetExceededError(f"{dist.size} pebbles exceed oracle bound {max_pebbles}")
     space = _SearchSpace(tree, weights, prune=prune)
     state = _state_of(tree, dist)
-    return _search(space, state, {}, memo_limit)
+    return _search(space, state, {})
 
 
 def _state_of(tree: Tree, dist: Distribution) -> tuple[int, ...]:
@@ -204,39 +197,6 @@ def _composition_count(total: int, parts: int) -> int:
     return comb(total + parts - 1, parts - 1)
 
 
-def enumerate_distributions(
-    tree: Tree,
-    size: int,
-    support: Sequence[str] | None = None,
-    *,
-    limit: int = DEFAULT_ENUM_LIMIT,
-) -> Iterator[Distribution]:
-    """Every distribution of ``size`` pebbles over ``support``, exactly once.
-
-    Deterministic order (first support vertex descending, and so on).
-    Raises BudgetExceededError up front when the count exceeds ``limit``.
-    """
-    if size < 0:
-        raise ValueError("size must be nonnegative")
-    if support is None:
-        names = tree.names
-    else:
-        names = tuple(sorted(set(support)))
-        for name in names:
-            tree._require(name)
-    count = _composition_count(size, len(names))
-    if count > limit:
-        raise BudgetExceededError(
-            f"{count} distributions of size {size} over {len(names)} vertices exceed limit {limit}"
-        )
-
-    def generate() -> Iterator[Distribution]:
-        for comp in _compositions(size, len(names)):
-            yield Distribution({name: c for name, c in zip(names, comp) if c})
-
-    return generate()
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Formula-versus-oracle comparison for one (tree, demand) instance."""
@@ -252,22 +212,7 @@ class VerificationReport:
     confirmation: str
 
     def to_text(self) -> str:
-        witness = self.unsolvable_witness
-        witness_text = (
-            "none" if witness is None else ";".join(f"{v} {k}" for v, k in witness.items())
-        )
-        omega_text = ";".join(f"{v} {k}" for v, k in self.omega.items()) or "none"
-        lines = [
-            f"status {self.status}",
-            f"formula_gamma {self.formula_gamma}",
-            f"oracle_gamma {self.oracle_gamma}",
-            f"confirmation {self.confirmation}",
-            f"distributions_checked {self.distributions_checked}",
-            f"tree {self.tree_id}",
-            f"omega {omega_text}",
-            f"witness {witness_text}",
-        ]
-        return "\n".join(lines) + "\n"
+        return _report_text(self.to_json_dict())
 
     def to_json_dict(self) -> dict:
         witness = self.unsolvable_witness
@@ -283,15 +228,25 @@ class VerificationReport:
         }
 
 
+def _report_text(payload: dict) -> str:
+    """``key value`` lines of a ``to_json_dict`` payload, vertex maps as ``v k;v k``."""
+
+    def pairs(values: dict) -> str:
+        return ";".join(f"{v} {k}" for v, k in values.items())
+
+    keys = "status formula_gamma oracle_gamma confirmation distributions_checked tree"
+    witness = payload["witness"]
+    lines = [f"{key} {payload[key]}" for key in keys.split()]
+    lines.append(f"omega {pairs(payload['omega']) or 'none'}")
+    lines.append(f"witness {'none' if witness is None else pairs(witness)}")
+    return "\n".join(lines) + "\n"
+
+
 def verify_gamma(
     tree: Tree,
     weights: WeightFunction,
     *,
     max_pebbles: int = 512,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
-    full_confirm_limit: int = DEFAULT_FULL_CONFIRM_LIMIT,
-    memo_limit: int = DEFAULT_MEMO_LIMIT,
     prune: bool = True,
 ) -> VerificationReport:
     """Re-derive the cover number by search and compare with the formula.
@@ -299,14 +254,14 @@ def verify_gamma(
     Scans distribution sizes upward over leaf supports until a size has no
     unsolvable distribution, keeping the largest unsolvable one found as the
     witness. The resulting candidate is then confirmed over all-vertex
-    supports whenever that enumeration stays within ``full_confirm_limit``
+    supports whenever that enumeration stays within ``FULL_CONFIRM_LIMIT``
     (otherwise the leaf-support scan stands, which is where a maximum-size
     unsolvable distribution is guaranteed to live). Status is MISMATCH when
     formula and oracle disagree; callers must treat that as a failure.
     """
     started = time.perf_counter()
-    if tree.n > max_vertices:
-        raise BudgetExceededError(f"tree has {tree.n} vertices, oracle bound is {max_vertices}")
+    if tree.n > MAX_VERTICES:
+        raise BudgetExceededError(f"tree has {tree.n} vertices, oracle bound is {MAX_VERTICES}")
 
     if not weights.support:
         # zero demand: even the empty distribution already meets it
@@ -330,9 +285,9 @@ def verify_gamma(
     def first_unsolvable(size: int, positions: Sequence[int]) -> tuple[int, ...] | None:
         nonlocal checked_count
         count = _composition_count(size, len(positions))
-        if count > enum_limit:
+        if count > ENUM_LIMIT:
             raise BudgetExceededError(
-                f"{count} distributions of size {size} exceed enumeration limit {enum_limit}"
+                f"{count} distributions of size {size} exceed enumeration limit {ENUM_LIMIT}"
             )
         base = [0] * tree.n
         lookup = cache.get
@@ -350,7 +305,7 @@ def verify_gamma(
                 return frozen
             if dominates(frozen):
                 continue
-            if not _search(space, frozen, cache, memo_limit):
+            if not _search(space, frozen, cache):
                 return frozen
         return None
 
@@ -369,7 +324,7 @@ def verify_gamma(
             witness_state = bad
             k += 1
         # re-confirm over every support when the enumeration is affordable
-        if _composition_count(k, tree.n) > full_confirm_limit:
+        if _composition_count(k, tree.n) > FULL_CONFIRM_LIMIT:
             confirmation = "leaves"
             break
         bad = first_unsolvable(k, all_positions)

@@ -11,7 +11,7 @@ that root, and replaying the folds produces an explicit move sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .checked import checked
 from .errors import IllegalMoveError, NotSolvableError, TreeFormatError
@@ -30,23 +30,6 @@ class PebblingMove:
 
 
 @dataclass(frozen=True)
-class GeneralizedDistribution:
-    """Signed per-vertex values over exactly one (sub)tree's vertex set."""
-
-    values: Mapping[str, int]
-
-    @classmethod
-    def from_difference(
-        cls, tree: Tree, dist: Distribution, weights: WeightFunction
-    ) -> "GeneralizedDistribution":
-        vals = _initial_values(tree, dist, weights)
-        return cls({name: vals[i] for i, name in enumerate(tree.names)})
-
-    def __getitem__(self, name: str) -> int:
-        return self.values[name]
-
-
-@dataclass(frozen=True)
 class SolvabilityCertificate:
     """Outcome of the all-roots collapse.
 
@@ -60,33 +43,19 @@ class SolvabilityCertificate:
 
 
 def _initial_values(tree: Tree, dist: Distribution, weights: WeightFunction) -> list[int]:
-    for name in dist.support:
-        tree._require(name)
-    for name in weights.support:
-        tree._require(name)
-    return [checked(dist[name] - weights[name], "initial value") for name in tree.names]
+    """C = D - demand as a dense list; entries off both supports are 0."""
+    values = [0] * tree.n
+    for name, k in dist.items():
+        values[tree._require(name)] = k
+    for name, k in weights.items():
+        values[tree._require(name)] -= k
+    for name in sorted({*dist.support, *weights.support}):
+        checked(values[tree.index[name]], "initial value")
+    return values
 
 
 def _fold(value: int) -> int:
     return value // 2 if value >= 0 else 2 * value
-
-
-def reduce_leaf(
-    values: GeneralizedDistribution, tree: Tree, leaf: str
-) -> tuple[Tree, GeneralizedDistribution]:
-    """Delete ``leaf`` and fold its value into its unique neighbor."""
-    if tree.n < 2:
-        raise ValueError("cannot reduce a single-vertex tree")
-    iv = tree._require(leaf)
-    if len(tree._adj[iv]) != 1:
-        raise ValueError(f"vertex '{leaf}' is not a leaf")
-    if set(values.values) != set(tree.names):
-        raise ValueError("values must be defined on exactly the tree's vertex set")
-    neighbor = tree.names[tree._adj[iv][0]]
-    new_values = {name: v for name, v in values.values.items() if name != leaf}
-    new_values[neighbor] = checked(new_values[neighbor] + _fold(values[leaf]), "induced value")
-    smaller = Tree([e for e in tree.edges if leaf not in e], (neighbor,))
-    return smaller, GeneralizedDistribution(new_values)
 
 
 def _collapse(

@@ -18,7 +18,7 @@ File formats (UTF-8, newline separated, full-line '#' comments):
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .checked import INT64_MAX
 from .errors import OverflowLimitError, TreeFormatError, UnknownVertexError
@@ -93,9 +93,6 @@ class Tree:
     def n(self) -> int:
         return len(self.names)
 
-    def has_vertex(self, name: str) -> bool:
-        return name in self.index
-
     def _require(self, name: str) -> int:
         try:
             return self.index[name]
@@ -104,9 +101,6 @@ class Tree:
 
     def neighbors(self, name: str) -> tuple[str, ...]:
         return tuple(self.names[j] for j in self._adj[self._require(name)])
-
-    def degree(self, name: str) -> int:
-        return len(self._adj[self._require(name)])
 
     def leaves(self) -> tuple[str, ...]:
         """Degree-1 vertices in name order; a single-vertex tree is its own leaf."""
@@ -343,39 +337,35 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
 def parse_tree(text: str) -> Tree:
     """Parse an edge-list document into a Tree.
 
-    Raises TreeFormatError on duplicate edges, self-loops, cycles,
-    disconnected input, or an empty document.
+    Raises TreeFormatError on a line that is neither ``u v`` nor a bare
+    name, and, through the Tree constructor, on duplicate edges,
+    self-loops, cycles, disconnected input, or an empty document.
     """
     edges: list[tuple[str, str]] = []
-    seen: set[frozenset[str]] = set()
     singles: list[str] = []
     for lineno, line in _content_lines(text):
         tokens = line.split()
         if len(tokens) == 1:
             singles.append(tokens[0])
-            continue
-        if len(tokens) != 2:
+        elif len(tokens) == 2:
+            edges.append((tokens[0], tokens[1]))
+        else:
             raise TreeFormatError(
                 f"line {lineno}: expected 'u v' or a bare vertex name, got {len(tokens)} tokens"
             )
-        u, v = tokens
-        if u == v:
-            raise TreeFormatError(f"line {lineno}: self-loop at vertex '{u}'")
-        key = frozenset((u, v))
-        if key in seen:
-            raise TreeFormatError(f"line {lineno}: duplicate edge {u} {v}")
-        seen.add(key)
-        edges.append((u, v))
-    if not edges and not singles:
-        raise TreeFormatError("empty input: no vertices declared")
     return Tree(edges, singles)
 
 
 def serialize_tree(tree: Tree) -> str:
     """Edge-list document for ``tree``; reparsing yields an equal tree."""
-    lines = [f"{u} {v}" for u, v in tree.edges]
-    connected = {x for e in tree.edges for x in e}
-    lines.extend(name for name in tree.names if name not in connected)
+    return _edge_list(tree.edges, tree.names)
+
+
+def _edge_list(edges: Sequence[tuple[str, str]], names: Iterable[str]) -> str:
+    """One ``u v`` line per edge, then a line per name on no edge."""
+    lines = [f"{u} {v}" for u, v in edges]
+    connected = {x for e in edges for x in e}
+    lines.extend(name for name in names if name not in connected)
     return "\n".join(lines) + "\n"
 
 

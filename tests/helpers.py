@@ -11,10 +11,20 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator, Mapping, Sequence
 
-from treepebble import Distribution, PathPartition, Tree, WeightFunction, partition_score
+from treepebble import (
+    BudgetExceededError,
+    Distribution,
+    PathPartition,
+    Tree,
+    WeightFunction,
+    partition_score,
+)
 from treepebble.checked import checked, pow2
+from treepebble.oracle import ENUM_LIMIT, _composition_count, _compositions
 
 
 def tree(text: str) -> Tree:
@@ -228,3 +238,77 @@ def reference_cover(t: Tree, weights: WeightFunction) -> tuple[int, str, dict[st
 def reference_t_pebbling(t: Tree, v: str, k: int) -> tuple[int, PathPartition]:
     part = greedy_partition(t.orient_toward((v,)))
     return (partition_score(part.sizes, k) if part.sizes else k), part
+
+
+@dataclass(frozen=True)
+class GeneralizedDistribution:
+    """Signed per-vertex values over exactly one (sub)tree's vertex set."""
+
+    values: Mapping[str, int]
+
+    @classmethod
+    def from_difference(
+        cls, tree: Tree, dist: Distribution, weights: WeightFunction
+    ) -> "GeneralizedDistribution":
+        for name in dist.support + weights.support:
+            tree.neighbors(name)  # raises UnknownVertexError off the tree
+        return cls(
+            {name: checked(dist[name] - weights[name], "initial value") for name in tree.names}
+        )
+
+    def __getitem__(self, name: str) -> int:
+        return self.values[name]
+
+
+def reduce_leaf(
+    values: GeneralizedDistribution, tree: Tree, leaf: str
+) -> tuple[Tree, GeneralizedDistribution]:
+    """Reference single fold: delete ``leaf`` and fold its value into its unique neighbor."""
+    if tree.n < 2:
+        raise ValueError("cannot reduce a single-vertex tree")
+    neighbors = tree.neighbors(leaf)
+    if len(neighbors) != 1:
+        raise ValueError(f"vertex '{leaf}' is not a leaf")
+    if set(values.values) != set(tree.names):
+        raise ValueError("values must be defined on exactly the tree's vertex set")
+    (neighbor,) = neighbors
+    c = values[leaf]
+    new_values = {name: v for name, v in values.values.items() if name != leaf}
+    new_values[neighbor] = checked(
+        new_values[neighbor] + (c // 2 if c >= 0 else 2 * c), "induced value"
+    )
+    smaller = Tree([e for e in tree.edges if leaf not in e], (neighbor,))
+    return smaller, GeneralizedDistribution(new_values)
+
+
+def enumerate_distributions(
+    tree: Tree,
+    size: int,
+    support: Sequence[str] | None = None,
+    *,
+    limit: int = ENUM_LIMIT,
+) -> Iterator[Distribution]:
+    """Every distribution of ``size`` pebbles over ``support``, exactly once.
+
+    Deterministic order (first support vertex descending, and so on).
+    Raises BudgetExceededError up front when the count exceeds ``limit``.
+    """
+    if size < 0:
+        raise ValueError("size must be nonnegative")
+    if support is None:
+        names = tree.names
+    else:
+        names = tuple(sorted(set(support)))
+        for name in names:
+            tree.neighbors(name)  # raises UnknownVertexError off the tree
+    count = _composition_count(size, len(names))
+    if count > limit:
+        raise BudgetExceededError(
+            f"{count} distributions of size {size} over {len(names)} vertices exceed limit {limit}"
+        )
+
+    def generate() -> Iterator[Distribution]:
+        for comp in _compositions(size, len(names)):
+            yield Distribution({name: c for name, c in zip(names, comp) if c})
+
+    return generate()

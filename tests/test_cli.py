@@ -425,13 +425,13 @@ GOLDEN = [
      'error: FORMAT: cycle detected: edge count exceeds vertex count - 1\n'),
     ('cover --tree loop.tree --weights demand.map', 2,
      '',
-     "error: FORMAT: line 2: self-loop at vertex 'b'\n"),
+     "error: FORMAT: self-loop at vertex 'b'\n"),
     ('cover --tree dup.tree --weights demand.map', 2,
      '',
-     'error: FORMAT: line 3: duplicate edge c b\n'),
+     'error: FORMAT: duplicate edge b c\n'),
     ('cover --tree empty.tree --weights demand.map', 2,
      '',
-     'error: FORMAT: empty input: no vertices declared\n'),
+     'error: FORMAT: empty input: a tree needs at least one vertex\n'),
     ('partition --tree star.tree --root zz', 2,
      '',
      "error: UNKNOWN_VERTEX: unknown vertex 'zz'\n"),

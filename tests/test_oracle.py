@@ -13,11 +13,10 @@ from treepebble import (
     WeightFunction,
     brute_solvable,
     cover_pebbling_number,
-    enumerate_distributions,
     random_tree,
     verify_gamma,
 )
-from helpers import random_distribution, random_weights, tree
+from helpers import enumerate_distributions, random_distribution, random_weights, tree
 
 
 class TestBruteSolvable:

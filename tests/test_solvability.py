@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from treepebble import (
     Distribution,
-    GeneralizedDistribution,
     IllegalMoveError,
     NotSolvableError,
+    OverflowLimitError,
     PebblingMove,
     TreeFormatError,
     WeightFunction,
@@ -18,17 +18,18 @@ from treepebble import (
     is_solvable,
     parse_moves,
     random_tree,
-    reduce_leaf,
     serialize_moves,
     simulate,
     solve_witness,
 )
 from treepebble.oracle import _compositions
 from helpers import (
+    GeneralizedDistribution,
     all_unlabeled_trees,
     fold_hat_random_order,
     random_distribution,
     random_weights,
+    reduce_leaf,
     tree,
     weight_functions,
 )
@@ -91,6 +92,28 @@ class TestHatC:
         t1, c1 = reduce_leaf(c0, t, "a")
         t2, c2 = reduce_leaf(c1, t1, "b")
         assert c2["c"] == hat_c(t, Distribution({"a": 4}), WeightFunction({"c": 1}), "c")
+
+    @pytest.mark.parametrize(
+        "dist,weights,bad",
+        [
+            ({"b": 2**63}, {}, 2**63),
+            ({"c": 2**63}, {"a": 2**63 + 5}, -(2**63 + 5)),  # name order: a before c
+            ({"a": 2**63 + 1}, {"a": 2}, None),  # counts beyond 2^63 that cancel
+        ],
+    )
+    def test_initial_value_outside_int64(self, dist, weights, bad):
+        t = tree("a b;b c")
+        d, w = Distribution(dist), WeightFunction(weights)
+        if bad is None:
+            assert hat_c(t, d, w, "a") == 2**63 - 1
+            return
+        message = f"initial value {bad} is outside the signed 64-bit range"
+        with pytest.raises(OverflowLimitError) as exc:
+            hat_c(t, d, w, "b")
+        assert str(exc.value) == message
+        with pytest.raises(OverflowLimitError) as exc:
+            is_solvable(t, d, w)
+        assert str(exc.value) == message
 
 
 class TestIsSolvable:
