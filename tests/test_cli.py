@@ -188,6 +188,25 @@ class TestVerifyCommand:
         assert payload["witness"] == {"d": 7}
 
 
+    def test_empty_demand_bytes(self, star, tmp_path):
+        tree, _ = star
+        none = tmp_path / "none.map"
+        none.write_text("")
+        assert invoke("verify", "--tree", tree, "--weights", str(none)) == (
+            0,
+            "status PASS\nformula_gamma 0\noracle_gamma 0\nconfirmation full\n"
+            "distributions_checked 0\ntree a b;b c;b d\nomega none\nwitness none\n",
+            "",
+        )
+        assert invoke("verify", "--tree", tree, "--weights", str(none), "--json") == (
+            0,
+            '{"command": "verify", "confirmation": "full", "distributions_checked": 0, '
+            '"formula_gamma": 0, "omega": {}, "oracle_gamma": 0, "status": "PASS", '
+            '"tree": "a b;b c;b d", "witness": null}\n',
+            "",
+        )
+
+
 class TestGenTreeCommand:
     def test_output_parses_back(self):
         code, out, _ = invoke("gen-tree", "-n", "9", "--seed", "4")

@@ -12,6 +12,7 @@ from treepebble import (
     OverflowLimitError,
     PebblingMove,
     TreeFormatError,
+    UnknownVertexError,
     WeightFunction,
     brute_solvable,
     hat_c,
@@ -219,6 +220,27 @@ class TestSimulate:
         moves = [PebblingMove("a", "b")] * 3 + [PebblingMove("b", "c")] * 2
         final = simulate(t, d, moves)
         assert final.size == d.size - len(moves)
+
+
+# insertion order puts 'zz' first; the name-smallest unknown is reported
+_TWO_UNKNOWN = {"zz": 1, "yy": 1}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: simulate(t, Distribution(_TWO_UNKNOWN), []),
+        lambda t: brute_solvable(t, Distribution(_TWO_UNKNOWN), WeightFunction({"a": 1})),
+        lambda t: brute_solvable(t, Distribution({"a": 2}), WeightFunction(_TWO_UNKNOWN)),
+        lambda t: is_solvable(t, Distribution(_TWO_UNKNOWN), WeightFunction({"a": 1})),
+        lambda t: is_solvable(t, Distribution({"a": 2}), WeightFunction(_TWO_UNKNOWN)),
+    ],
+    ids=["simulate", "brute-dist", "brute-demand", "solvable-dist", "solvable-demand"],
+)
+def test_first_unknown_name_in_name_order(call):
+    with pytest.raises(UnknownVertexError) as exc:
+        call(tree("a b"))
+    assert str(exc.value) == "unknown vertex 'yy'"
 
 
 class TestMoveDocuments:

@@ -175,6 +175,16 @@ class TestDirectedForest:
         with pytest.raises(ValueError, match="dead-ends"):
             DirectedForest(t, [("a", "b")], ["c"])
 
+    def test_directed_cycle_rejected(self):
+        t = tree("a b;b c")
+        with pytest.raises(ValueError, match="directed cycle"):
+            DirectedForest(t, [("a", "b"), ("b", "a")], ["c"])
+
+    def test_sink_with_outgoing_arc_rejected(self):
+        t = tree("a b;b c")
+        with pytest.raises(ValueError, match="sink vertex 'b' has an outgoing arc"):
+            DirectedForest(t, [("a", "b"), ("b", "c")], ["b", "c"])
+
     def test_out_neighbor(self):
         f = tree("a b;b c").orient_toward(("c",))
         assert f.out_neighbor("a") == "b"
