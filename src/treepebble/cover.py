@@ -53,9 +53,7 @@ def t_pebbling_number(tree: Tree, v: str, k: int = 1) -> TPebblingResult:
 def _partition_toward(tree: Tree, v: str) -> PathPartition:
     """Maximum path partition of ``tree`` with every edge oriented toward ``v``."""
     order, parent, _ = tree._rooting(tree._require(v))
-    return PathPartition.from_paths(
-        [tree.names[i] for i in path] for path in long_paths(parent, order)
-    )
+    return PathPartition.from_long_paths(long_paths(parent, order), tree.names)
 
 
 def t_pebbling_global(tree: Tree, k: int = 1) -> tuple[int, str]:

@@ -39,11 +39,9 @@ class _SearchSpace:
     __slots__ = ("n", "adj", "demand", "support", "total_demand", "rows", "thresholds", "prune")
 
     def __init__(self, tree: Tree, weights: WeightFunction, prune: bool = True):
-        for name in weights.support:
-            tree._require(name)
         self.n = tree.n
         self.adj = tree._adj
-        self.demand = tuple(weights[name] for name in tree.names)
+        self.demand = tuple(weights.row(tree))
         self.support = tuple(i for i, d in enumerate(self.demand) if d)
         self.total_demand = sum(self.demand)
         self.prune = prune
@@ -108,7 +106,7 @@ def _search(
     if known is not None:
         return known
     if space.dominates(start):
-        return _remember(cache, start, True)
+        return True  # a met start is never memoized: it costs no search
     if space.hopeless(start):
         return _remember(cache, start, False)
 
@@ -166,15 +164,7 @@ def brute_solvable(
     if dist.size > max_pebbles:
         raise BudgetExceededError(f"{dist.size} pebbles exceed oracle bound {max_pebbles}")
     space = _SearchSpace(tree, weights, prune=prune)
-    state = _state_of(tree, dist)
-    return _search(space, state, {})
-
-
-def _state_of(tree: Tree, dist: Distribution) -> tuple[int, ...]:
-    counts = [0] * tree.n
-    for name, k in dist.items():
-        counts[tree._require(name)] = k
-    return tuple(counts)
+    return _search(space, tuple(dist.row(tree)), {})
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -238,7 +228,7 @@ def _report_text(payload: dict) -> str:
     witness = payload["witness"]
     lines = [f"{key} {payload[key]}" for key in keys.split()]
     lines.append(f"omega {pairs(payload['omega']) or 'none'}")
-    lines.append(f"witness {'none' if witness is None else pairs(witness)}")
+    lines.append(f"witness {'none' if witness is None else pairs(witness) or 'empty'}")
     return "\n".join(lines) + "\n"
 
 
@@ -263,21 +253,6 @@ def verify_gamma(
     if tree.n > MAX_VERTICES:
         raise BudgetExceededError(f"tree has {tree.n} vertices, oracle bound is {MAX_VERTICES}")
 
-    if not weights.support:
-        # zero demand: even the empty distribution already meets it
-        formula = cover_pebbling_number(tree, weights).gamma
-        return VerificationReport(
-            tree_id=tree_id(tree),
-            omega=weights,
-            formula_gamma=formula,
-            oracle_gamma=0,
-            status="PASS" if formula == 0 else "MISMATCH",
-            unsolvable_witness=None,
-            distributions_checked=0,
-            elapsed=time.perf_counter() - started,
-            confirmation="full",
-        )
-
     space = _SearchSpace(tree, weights, prune=prune)
     cache: dict[tuple[int, ...], bool] = {}
     checked_count = 0
@@ -290,21 +265,12 @@ def verify_gamma(
                 f"{count} distributions of size {size} exceed enumeration limit {ENUM_LIMIT}"
             )
         base = [0] * tree.n
-        lookup = cache.get
-        dominates = space.dominates
         for comp in _compositions(size, len(positions)):
             state = list(base)
             for pos, c in zip(positions, comp):
                 state[pos] = c
             frozen = tuple(state)
             checked_count += 1
-            known = lookup(frozen)
-            if known is True:
-                continue
-            if known is False:
-                return frozen
-            if dominates(frozen):
-                continue
             if not _search(space, frozen, cache):
                 return frozen
         return None
@@ -313,7 +279,9 @@ def verify_gamma(
     all_positions = list(range(tree.n))
     witness_state: tuple[int, ...] | None = None
     k = 0
-    while True:
+    confirmation = "full"
+    # a zero demand is met by the empty distribution: no size is scanned
+    while weights.support:
         # scan leaf supports upward until a size has no unsolvable distribution
         while True:
             if k > max_pebbles:
@@ -329,16 +297,11 @@ def verify_gamma(
             break
         bad = first_unsolvable(k, all_positions)
         if bad is None:
-            confirmation = "full"
             break
         witness_state = bad
         k += 1
 
-    witness = None
-    if witness_state is not None:
-        witness = Distribution(
-            {tree.names[i]: c for i, c in enumerate(witness_state) if c}
-        )
+    witness = None if witness_state is None else Distribution.from_row(tree, witness_state)
     formula = cover_pebbling_number(tree, weights).gamma
     return VerificationReport(
         tree_id=tree_id(tree),

@@ -11,9 +11,10 @@ that root, and replaying the folds produces an explicit move sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterable, Sequence
 
-from .checked import checked
+from .checked import INT64_MAX, INT64_MIN, checked
 from .errors import IllegalMoveError, NotSolvableError, TreeFormatError
 from .tree import Distribution, Tree, WeightFunction, _content_lines
 
@@ -44,13 +45,11 @@ class SolvabilityCertificate:
 
 def _initial_values(tree: Tree, dist: Distribution, weights: WeightFunction) -> list[int]:
     """C = D - demand as a dense list; entries off both supports are 0."""
-    values = [0] * tree.n
-    for name, k in dist.items():
-        values[tree._require(name)] = k
-    for name, k in weights.items():
-        values[tree._require(name)] -= k
-    for name in sorted({*dist.support, *weights.support}):
-        checked(values[tree.index[name]], "initial value")
+    values = list(map(sub, dist.row(tree), weights.row(tree)))
+    # each entry lies in [-weights.total, dist.total]
+    if dist.total > INT64_MAX or weights.total > -INT64_MIN:
+        for value in values:  # the first one out of range, in name order
+            checked(value, "initial value")
     return values
 
 
@@ -139,9 +138,7 @@ def simulate(tree: Tree, dist: Distribution, moves: Iterable[PebblingMove]) -> D
     Raises IllegalMoveError (with the offending index) on a non-adjacent
     move or an underfunded source.
     """
-    counts = [0] * tree.n
-    for name, k in dist.items():
-        counts[tree._require(name)] = k
+    counts = dist.row(tree)
     for i, mv in enumerate(moves):
         iu = tree._require(mv.src)
         iv = tree._require(mv.dst)
@@ -151,7 +148,7 @@ def simulate(tree: Tree, dist: Distribution, moves: Iterable[PebblingMove]) -> D
             raise IllegalMoveError(i, f"source '{mv.src}' has {counts[iu]} pebbles")
         counts[iu] -= 2
         counts[iv] += 1
-    return Distribution({tree.names[j]: c for j, c in enumerate(counts) if c})
+    return Distribution.from_row(tree, counts)
 
 
 def parse_moves(text: str, tree: Tree) -> list[PebblingMove]:

@@ -206,59 +206,65 @@ class Tree:
 class DirectedForest:
     """Arcs of a host tree, each pointing one step toward a sink subtree.
 
-    No vertex has two outgoing arcs, and following arcs from any vertex
-    always ends inside ``sinks``.
+    No vertex has two outgoing arcs, no sink has one, and following arcs
+    from any vertex always ends inside ``sinks``. The arcs are kept as an
+    out-neighbour index array (-1: no arc) together with a topological
+    order that lists every vertex after all vertices whose arcs point to it.
     """
 
-    __slots__ = ("tree", "arcs", "sinks", "_out")
+    __slots__ = ("tree", "sinks", "_out", "_order")
 
     def __init__(self, tree: Tree, arcs: Iterable[tuple[str, str]], sinks: Iterable[str]):
         self.tree = tree
-        self.arcs: tuple[tuple[str, str], ...] = tuple(sorted((a, b) for a, b in arcs))
         self.sinks: tuple[str, ...] = tuple(sorted(sinks))
-        edge_set = set(tree.edges)
-        sink_set = set(self.sinks)
+        is_sink = [False] * tree.n
         for name in self.sinks:
-            tree._require(name)
-        out: dict[str, str] = {}
-        for src, dst in self.arcs:
-            tree._require(src)
-            tree._require(dst)
-            pair = (src, dst) if src < dst else (dst, src)
-            if pair not in edge_set:
+            is_sink[tree._require(name)] = True
+        out = [-1] * tree.n
+        pending = [0] * tree.n  # arcs into each vertex not yet ordered
+        for src, dst in sorted(arcs):
+            s, d = tree._require(src), tree._require(dst)
+            if d not in tree._adj[s]:
                 raise ValueError(f"arc {src}->{dst} is not over an edge of the host tree")
-            if src in out:
+            if out[s] >= 0:
                 raise ValueError(f"vertex '{src}' has two outgoing arcs")
-            if src in sink_set:
+            if is_sink[s]:
                 raise ValueError(f"sink vertex '{src}' has an outgoing arc")
-            out[src] = dst
-        # every chain must terminate in the sink set
-        settled: set[str] = set(sink_set)
-        for src in out:
-            chain: list[str] = []
-            on_chain: set[str] = set()
-            x = src
-            while x not in settled:
-                if x in on_chain:
-                    raise ValueError("arcs contain a directed cycle")
-                if x not in out:
-                    raise ValueError(f"arc chain from '{src}' dead-ends outside the sinks")
-                chain.append(x)
-                on_chain.add(x)
-                x = out[x]
-            settled.update(chain)
+            out[s] = d
+            pending[d] += 1
+        # Kahn's pass; a vertex on a directed cycle never runs out of pending arcs
+        order = [x for x in range(tree.n) if not pending[x]]
+        for x in order:  # grows while it is read
+            p = out[x]
+            if p >= 0:
+                pending[p] -= 1
+                if not pending[p]:
+                    order.append(p)
+        if len(order) < tree.n:
+            raise ValueError("arcs contain a directed cycle")
+        for p in out:
+            if p >= 0 and out[p] < 0 and not is_sink[p]:
+                raise ValueError(f"arc chain dead-ends at '{tree.names[p]}', outside the sinks")
         self._out = out
+        self._order = order
+
+    @property
+    def arcs(self) -> tuple[tuple[str, str], ...]:
+        """``(src, dst)`` name pairs, sorted (index order is name order)."""
+        names = self.tree.names
+        return tuple((names[x], names[p]) for x, p in enumerate(self._out) if p >= 0)
 
     @property
     def arc_count(self) -> int:
-        return len(self.arcs)
+        return len(self._out) - self._out.count(-1)
 
     def out_neighbor(self, name: str) -> str | None:
         """Target of the unique outgoing arc of ``name``, or None."""
-        return self._out.get(name)
+        p = self._out[self.tree._require(name)]
+        return self.tree.names[p] if p >= 0 else None
 
     def __repr__(self) -> str:
-        return f"DirectedForest({len(self.arcs)} arcs -> {{{', '.join(self.sinks)}}})"
+        return f"DirectedForest({self.arc_count} arcs -> {{{', '.join(self.sinks)}}})"
 
 
 class _VertexValues:
@@ -281,6 +287,17 @@ class _VertexValues:
 
     def __getitem__(self, name: str) -> int:
         return self._values.get(name, 0)
+
+    def row(self, tree: Tree) -> list[int]:
+        """Dense values indexed like ``tree.names``; the name-smallest unknown name raises."""
+        values = [0] * tree.n
+        index = tree.index
+        try:
+            for name, count in self._values.items():
+                values[index[name]] = count
+        except KeyError:
+            tree._require(min(name for name in self._values if name not in index))
+        return values
 
     def items(self) -> tuple[tuple[str, int], ...]:
         return tuple(sorted(self._values.items()))
@@ -313,6 +330,11 @@ class Distribution(_VertexValues):
     """Pebbles currently sitting on each vertex."""
 
     kind = "pebble count"
+
+    @classmethod
+    def from_row(cls, tree: Tree, row: Sequence[int]) -> "Distribution":
+        """The distribution whose counts, indexed like ``tree.names``, are ``row``."""
+        return cls({tree.names[i]: c for i, c in enumerate(row) if c})
 
     @property
     def size(self) -> int:

@@ -206,6 +206,25 @@ class TestVerifyCommand:
             "",
         )
 
+    def test_empty_witness_bytes(self, tmp_path):
+        # one vertex, demand 1: the largest unsolvable distribution is the empty one
+        (tmp_path / "one.tree").write_text("a\n")
+        (tmp_path / "one.map").write_text("a 1\n")
+        argv = ("verify", "--tree", str(tmp_path / "one.tree"), "--weights", str(tmp_path / "one.map"))
+        assert invoke(*argv) == (
+            0,
+            "status PASS\nformula_gamma 1\noracle_gamma 1\nconfirmation full\n"
+            "distributions_checked 3\ntree a\nomega a 1\nwitness empty\n",
+            "",
+        )
+        assert invoke(*argv, "--json") == (
+            0,
+            '{"command": "verify", "confirmation": "full", "distributions_checked": 3, '
+            '"formula_gamma": 1, "omega": {"a": 1}, "oracle_gamma": 1, "status": "PASS", '
+            '"tree": "a", "witness": {}}\n',
+            "",
+        )
+
 
 class TestGenTreeCommand:
     def test_output_parses_back(self):
