@@ -54,9 +54,8 @@ EXIT_USAGE = 2
 EXIT_OVERFLOW = 3
 EXIT_BUDGET = 4
 
-# solvable and cover repeat a linear pass (a collapse, a score) for every
-# root; above this size that quadratic cost gets noticeable and the user is
-# warned on stderr
+# cover, extremal and tpebble without --root score every root with a linear
+# pass; above this many vertices that quadratic cost gets a stderr warning
 QUADRATIC_WARN_SIZE = 1000
 
 
@@ -230,7 +229,7 @@ class _Command(NamedTuple):
     handler: Callable[[argparse.Namespace], tuple[int, dict]]
     # (stdout, payload, parsed arguments) -> None
     text: Callable[[IO[str], dict, argparse.Namespace], None]
-    all_roots: bool = False  # warn on stderr above QUADRATIC_WARN_SIZE vertices
+    all_roots: bool = False  # without --root, warn on stderr above QUADRATIC_WARN_SIZE vertices
 
 
 def _arg(*flags: str, **options) -> tuple:
@@ -260,6 +259,7 @@ COMMANDS = {
         ),
         _tpebble,
         _tpebble_text,
+        all_roots=True,
     ),
     "cover": _Command(
         "cover pebbling number and per-vertex score table",
@@ -273,7 +273,6 @@ COMMANDS = {
         (_TREE, _WEIGHTS, _arg("--dist", required=True, help="vertex-valued pebble file")),
         _solvable,
         _solvable_text,
-        all_roots=True,
     ),
     "witness": _Command(
         "replayable move list meeting the demand",
@@ -297,6 +296,7 @@ COMMANDS = {
         (_TREE, _WEIGHTS),
         _extremal,
         _extremal_text,
+        all_roots=True,
     ),
     "verify": _Command(
         "brute-force verification of the cover number",
@@ -344,7 +344,8 @@ def _execute(argv: Sequence[str] | None, out: IO[str], err: IO[str]) -> int:
         args.dist = parse_distribution(_read(args.dist), args.tree)
     if hasattr(args, "moves"):
         args.moves = parse_moves(_read(args.moves), args.tree)
-    if command.all_roots and args.tree.n > QUADRATIC_WARN_SIZE:
+    all_roots = command.all_roots and getattr(args, "root", None) is None
+    if all_roots and args.tree.n > QUADRATIC_WARN_SIZE:
         err.write(
             f"warning: {args.command} repeats a linear pass for every root; "
             f"{args.tree.n} vertices will be slow\n"

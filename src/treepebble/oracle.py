@@ -233,11 +233,7 @@ def _report_text(payload: dict) -> str:
 
 
 def verify_gamma(
-    tree: Tree,
-    weights: WeightFunction,
-    *,
-    max_pebbles: int = 512,
-    prune: bool = True,
+    tree: Tree, weights: WeightFunction, *, max_pebbles: int = 512
 ) -> VerificationReport:
     """Re-derive the cover number by search and compare with the formula.
 
@@ -253,7 +249,7 @@ def verify_gamma(
     if tree.n > MAX_VERTICES:
         raise BudgetExceededError(f"tree has {tree.n} vertices, oracle bound is {MAX_VERTICES}")
 
-    space = _SearchSpace(tree, weights, prune=prune)
+    space = _SearchSpace(tree, weights)
     cache: dict[tuple[int, ...], bool] = {}
     checked_count = 0
 

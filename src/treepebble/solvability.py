@@ -11,10 +11,9 @@ that root, and replaying the folds produces an explicit move sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
 from typing import Iterable, Sequence
 
-from .checked import INT64_MAX, INT64_MIN, checked
+from .checked import checked
 from .errors import IllegalMoveError, NotSolvableError, TreeFormatError
 from .tree import Distribution, Tree, WeightFunction, _content_lines
 
@@ -43,16 +42,6 @@ class SolvabilityCertificate:
     hat_values: dict[str, int]
 
 
-def _initial_values(tree: Tree, dist: Distribution, weights: WeightFunction) -> list[int]:
-    """C = D - demand as a dense list; entries off both supports are 0."""
-    values = list(map(sub, dist.row(tree), weights.row(tree)))
-    # each entry lies in [-weights.total, dist.total]
-    if dist.total > INT64_MAX or weights.total > -INT64_MIN:
-        for value in values:  # the first one out of range, in name order
-            checked(value, "initial value")
-    return values
-
-
 def _fold(value: int) -> int:
     return value // 2 if value >= 0 else 2 * value
 
@@ -66,7 +55,8 @@ def _collapse(
     root's entry the collapsed value), the post-order and the parents.
     """
     ir = tree._require(root)
-    values = _initial_values(tree, dist, weights)
+    # C = D - demand, checked in name order
+    values = [checked(d - w, "initial value") for d, w in zip(dist.row(tree), weights.row(tree))]
     order, parent, _ = tree._rooting(ir)
     for x in order[:-1]:
         values[parent[x]] = checked(values[parent[x]] + _fold(values[x]), "induced value")
@@ -85,10 +75,23 @@ def hat_c(tree: Tree, dist: Distribution, weights: WeightFunction, root: str) ->
 
 
 def is_solvable(tree: Tree, dist: Distribution, weights: WeightFunction) -> SolvabilityCertificate:
-    """Decide solvability, reporting the collapsed value at every root."""
-    hats = {name: hat_c(tree, dist, weights, name) for name in tree.names}
-    witness = next((name for name in tree.names if hats[name] >= 0), None)
-    return SolvabilityCertificate(witness is not None, witness, hats)
+    """Decide solvability, reporting the collapsed value at every root.
+
+    Collapses once toward the name-smallest vertex, then moves the root
+    down each edge p-x in pre-order: p's side without x, collapsed onto p,
+    is hat(p) - fold(value(x)), and hat(x) = value(x) + fold of that.
+
+    Overflow: the first collapse raises exactly as ``hat_c`` there, and
+    every other value checked is a final value of another root's collapse.
+    So this raises only where some ``hat_c`` does, and each value it returns
+    equals ``hat_c`` at that root unless ``hat_c`` raises on a partial sum.
+    """
+    hat, order, parent = _collapse(tree, dist, weights, tree.names[0])
+    for x in reversed(order[:-1]):  # hat[parent[x]] is final, hat[x] not yet
+        rest = checked(hat[parent[x]] - _fold(hat[x]), "induced value")
+        hat[x] = checked(hat[x] + _fold(rest), "induced value")
+    witness = next((name for name, value in zip(tree.names, hat) if value >= 0), None)
+    return SolvabilityCertificate(witness is not None, witness, dict(zip(tree.names, hat)))
 
 
 def solve_witness(

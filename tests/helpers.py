@@ -95,6 +95,21 @@ def all_unlabeled_trees(max_n: int) -> tuple[Tree, ...]:
     return tuple(trees)
 
 
+def all_shapes(max_n: int) -> list[Tree]:
+    """One tree per shape up to ``max_n`` vertices: every shape is a smaller one plus a leaf."""
+    layer = [Tree((), ("v0",))]
+    shapes = list(layer)
+    for n in range(1, max_n):
+        grown = {}
+        for t in layer:
+            for v in t.names:
+                bigger = Tree(t.edges + ((v, f"v{n}"),))
+                grown.setdefault(canonical_shape(bigger), bigger)
+        layer = list(grown.values())
+        shapes += layer
+    return shapes
+
+
 def weight_functions(t: Tree, max_entry: int = 2, max_total: int = 4):
     """Every demand map with entries up to max_entry, 1 <= total <= max_total."""
     for combo in itertools.product(range(max_entry + 1), repeat=t.n):

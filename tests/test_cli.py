@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from treepebble import parse_tree
+from treepebble import cli, parse_tree
 from treepebble.cli import run
 
 
@@ -314,6 +314,31 @@ class TestErrorChannel:
         code, _, err = invoke("partition", "--tree", "/nonexistent.tree", "--root", "a")
         assert code == 2
         assert err.startswith("error: IO:")
+
+
+@pytest.mark.parametrize(
+    "argv,warns",
+    [
+        (("cover", "--weights", "W"), True),
+        (("extremal", "--weights", "W"), True),
+        (("tpebble",), True),
+        (("tpebble", "--root", "d"), False),
+        (("solvable", "--weights", "W", "--dist", "D"), False),
+    ],
+    ids=["cover", "extremal", "tpebble", "tpebble-root", "solvable"],
+)
+def test_quadratic_warning(star, tmp_path, monkeypatch, argv, warns):
+    # the star has 4 vertices: only commands that score every root warn above 3
+    tree, weights = star
+    dist = tmp_path / "d.map"
+    dist.write_text("b 8\n")
+    files = {"W": weights, "D": str(dist)}
+    argv = (argv[0], "--tree", tree) + tuple(files.get(a, a) for a in argv[1:])
+    code, out, err = invoke(*argv)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(cli, "QUADRATIC_WARN_SIZE", 3)
+    warning = f"warning: {argv[0]} repeats a linear pass for every root; 4 vertices will be slow\n"
+    assert invoke(*argv) == (code, out, warning if warns else "")
 
 
 class TestDeterminism:

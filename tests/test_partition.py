@@ -14,7 +14,7 @@ from treepebble import (
     partition_score,
     random_tree,
 )
-from helpers import canonical_shape, greedy_partition, random_path_partition, tree
+from helpers import all_shapes, greedy_partition, random_path_partition, tree
 
 
 class TestMaxPathPartition:
@@ -125,21 +125,6 @@ def test_path_count_lower_bound(n, seed):
         assert len(p.sizes) >= len(forest.arcs) / p.sizes[0]
 
 
-def _all_shapes(max_n):
-    """One tree per shape up to ``max_n`` vertices: every shape is a smaller one plus a leaf."""
-    layer = [Tree((), ("v0",))]
-    shapes = list(layer)
-    for n in range(1, max_n):
-        grown = {}
-        for t in layer:
-            for v in t.names:
-                bigger = Tree(t.edges + ((v, f"v{n}"),))
-                grown.setdefault(canonical_shape(bigger), bigger)
-        layer = list(grown.values())
-        shapes += layer
-    return shapes
-
-
 def _relabelings(t, rng, count):
     """``count`` copies of ``t`` under random names, so name order differs from shape order."""
     for _ in range(count):
@@ -151,7 +136,7 @@ def _relabelings(t, rng, count):
 def test_matches_greedy_on_all_small_trees():
     # the root alone, and the Steiner subtree of the root and a random support
     rng = random.Random(2019)
-    shapes = _all_shapes(8)
+    shapes = all_shapes(8)
     assert len(shapes) == 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23
     checked = 0
     for base in shapes:

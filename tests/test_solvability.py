@@ -11,6 +11,7 @@ from treepebble import (
     NotSolvableError,
     OverflowLimitError,
     PebblingMove,
+    Tree,
     TreeFormatError,
     UnknownVertexError,
     WeightFunction,
@@ -23,9 +24,11 @@ from treepebble import (
     simulate,
     solve_witness,
 )
+from treepebble.checked import INT64_MAX, INT64_MIN
 from treepebble.oracle import _compositions
 from helpers import (
     GeneralizedDistribution,
+    all_shapes,
     all_unlabeled_trees,
     fold_hat_random_order,
     random_distribution,
@@ -155,6 +158,82 @@ class TestIsSolvable:
         assert cert.solvable == any(v >= 0 for v in cert.hat_values.values())
         if cert.solvable:
             assert cert.hat_values[cert.witness_root] >= 0
+
+    def test_matches_hat_c_at_every_root(self):
+        # one rerooted collapse against one hat_c per root, with entries near 2^62
+        rng = random.Random(2019)
+        trees = [t for t in all_shapes(8) for _ in range(4)]
+        for n in (16, 64, 256):
+            trees += [random_tree(n, rng.randrange(2**32)) for _ in range(3)]
+            trees += [_star(n), _caterpillar(n, rng)]
+        outcomes = {"equal": 0, "both raise": 0}
+        for t in trees:
+            for big in (False, True):
+                d, w = _signed_instance(t, rng, big)
+                hats: dict[str, int] = {}
+                for root in t.names:
+                    try:
+                        hats[root] = hat_c(t, d, w, root)
+                    except OverflowLimitError:
+                        pass
+                try:
+                    cert = is_solvable(t, d, w)
+                except OverflowLimitError:
+                    assert len(hats) < t.n
+                    outcomes["both raise"] += 1
+                    continue
+                assert all(INT64_MIN <= v <= INT64_MAX for v in cert.hat_values.values())
+                assert {r: cert.hat_values[r] for r in hats} == hats
+                if len(hats) < t.n:
+                    continue  # a partial sum of some root's collapse overflowed
+                witness = next((r for r in t.names if hats[r] >= 0), None)
+                assert (cert.solvable, cert.witness_root) == (witness is not None, witness)
+                outcomes["equal"] += 1
+        assert min(outcomes.values()) > 0, outcomes
+
+    def test_partial_sum_overflow_is_not_raised(self):
+        # at m the deficits of a and b come first: their sum leaves int64, the total does not
+        t = tree("m a;m b;m x;m y")
+        d = Distribution({"x": 2**63 - 1, "y": 2**63 - 1})
+        w = WeightFunction({"a": 2**61 + 2**59, "b": 2**61 + 2**59})
+        with pytest.raises(OverflowLimitError):
+            hat_c(t, d, w, "m")
+        cert = is_solvable(t, d, w)
+        assert cert.hat_values["m"] == -(2**61) - 2
+        assert cert.hat_values["a"] == hat_c(t, d, w, "a") == -(2**60) - 1
+        assert not cert.solvable
+
+    def test_roots_the_tree_once(self, monkeypatch):
+        t = random_tree(50, 11)
+        rng = random.Random(11)
+        d, w = random_distribution(t, 60, rng), random_weights(t, 8, rng)
+        roots = []
+        rooting = Tree._rooting
+        monkeypatch.setattr(Tree, "_rooting", lambda self, r: roots.append(r) or rooting(self, r))
+        is_solvable(t, d, w)
+        assert len(roots) == 1
+
+
+def _star(n):
+    return Tree([("c", f"l{i:03d}") for i in range(1, n)])
+
+
+def _caterpillar(n, rng):
+    """A spine of about n/3 vertices, each remaining vertex a leg on a random spine vertex."""
+    spine = [f"s{i:03d}" for i in range(n // 3)]
+    legs = [(f"l{i:03d}", rng.choice(spine)) for i in range(n - len(spine))]
+    return Tree(list(zip(spine, spine[1:])) + legs)
+
+
+def _signed_instance(t, rng, big):
+    """A few pebble piles and demands; with ``big`` they lie near 2^62, so folds can overflow."""
+
+    def pile():
+        return 2 ** rng.randint(58, 62) + rng.randint(-3, 3) if big else rng.randint(1, 9)
+
+    d = Distribution({v: pile() for v in rng.sample(t.names, min(t.n, 3))})
+    w = WeightFunction({v: pile() for v in rng.sample(t.names, min(t.n, 3))})
+    return d, w
 
 
 class TestSolveWitness:
