@@ -54,8 +54,8 @@ EXIT_USAGE = 2
 EXIT_OVERFLOW = 3
 EXIT_BUDGET = 4
 
-# cover, extremal and tpebble without --root score every root with a linear
-# pass; above this many vertices that quadratic cost gets a stderr warning
+# tpebble without --root scores every root with a linear pass; above this
+# many vertices that quadratic cost gets a stderr warning
 QUADRATIC_WARN_SIZE = 1000
 
 
@@ -266,7 +266,6 @@ COMMANDS = {
         (_TREE, _arg("--weights", required=True, help="vertex-valued demand file")),
         _cover,
         _cover_text,
-        all_roots=True,
     ),
     "solvable": _Command(
         "decide solvability; exit 0/1",
@@ -296,7 +295,6 @@ COMMANDS = {
         (_TREE, _WEIGHTS),
         _extremal,
         _extremal_text,
-        all_roots=True,
     ),
     "verify": _Command(
         "brute-force verification of the cover number",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .checked import checked, pow2
+from .checked import INT64_MAX, checked, pow2
 from .partition import PathPartition, long_paths, partition_score
 from .tree import Distribution, Tree, WeightFunction
 
@@ -107,15 +107,73 @@ def s_omega_at(tree: Tree, weights: WeightFunction, v: str) -> int:
     return total
 
 
+def _all_scores(tree: Tree, weights: WeightFunction) -> list[int | None]:
+    """``s_omega_at`` of every root, indexed like ``tree.names``, from one rooting.
+
+    Rooted at the name-smallest support vertex, the Steiner tree S of the
+    support is the set of vertices whose subtree holds support. A score is
+    D(v) + R(v): D(v) sums omega(u) * 2^d(u, v), folded bottom-up as W(x) =
+    omega(x) + 2 * (sum of W over x's children) and rerooted top-down by
+    D(c) = 2 * D(p) - 3 * W(c). R(v) sums 2^height(x) over the vertices x
+    outside S: constant on S, and R(x) = R(parent) - 2^height(x) off it.
+
+    None marks a root whose exact score is at least 2^63: it has a demand
+    63 or more edges away (``reach`` and ``away`` track the farthest one),
+    or D + R is past int64. D is kept modulo a power of two above D at
+    every other root, so no value grows with the depth. R leaves out the
+    term of a remainder vertex of height >= 63: the vertices below it, also
+    in the remainder, hold heights 62, ..., 0, whose terms already sum to
+    2^63 - 1, so that root is past int64 anyway.
+    """
+    omega = weights.row(tree)
+    order, parent, _ = tree._rooting(next(i for i, k in enumerate(omega) if k))
+    # with no demand 63 or more edges away, D(v) <= omega total * 2^62 < mask
+    mask = (1 << (62 + weights.total.bit_length())) - 1
+    fold = omega[:]
+    height = [0] * tree.n
+    reach = [0 if k else -1 for k in omega]  # farthest support in the subtree; -1: none, off S
+    second = [-1] * tree.n  # the runner-up to reach among x itself and its children
+    for x in order[:-1]:
+        p = parent[x]
+        fold[p] = (fold[p] + 2 * fold[x]) & mask
+        if height[x] >= height[p]:
+            height[p] = height[x] + 1
+        if reach[x] >= 0:
+            d = reach[x] + 1
+            if d > reach[p]:
+                second[p], reach[p] = reach[p], d
+            elif d > second[p]:
+                second[p] = d
+    demand = fold[:]
+    rest = [sum(1 << h for h, r in zip(height, reach) if r < 0 and h < 63)] * tree.n
+    away = [-1] * tree.n  # farthest support outside the subtree
+    for x in reversed(order[:-1]):  # pre-order: the parent is final
+        p = parent[x]
+        demand[x] = (2 * demand[p] - 3 * fold[x]) & mask
+        if reach[x] < 0:
+            rest[x] = rest[p] - (1 << height[x] if height[x] < 63 else 0)
+        side = second[p] if reach[x] >= 0 and reach[x] + 1 == reach[p] else reach[p]
+        away[x] = 1 + max(away[p], side)
+    return [
+        None if r >= 63 or a >= 63 or d + s > INT64_MAX else d + s
+        for d, s, r, a in zip(demand, rest, reach, away)
+    ]
+
+
 def cover_pebbling_number(tree: Tree, weights: WeightFunction) -> CoverResult:
     """Minimum N so that every N-pebble distribution can meet the demand.
 
     An all-zero demand is degenerate: every distribution already meets it,
-    so gamma is 0 and no score table is produced.
+    so gamma is 0 and no score table is produced. A root whose score leaves
+    int64 is re-scored by ``s_omega_at``, so the first such root in name
+    order raises its own ``OverflowLimitError``.
     """
     if not weights.support:
         return CoverResult(0, None, {})
-    table = {name: s_omega_at(tree, weights, name) for name in tree.names}
+    table = {
+        name: s if s is not None else s_omega_at(tree, weights, name)
+        for name, s in zip(tree.names, _all_scores(tree, weights))
+    }
     gamma = max(table.values())
     argmax = next(name for name in tree.names if table[name] == gamma)
     return CoverResult(gamma, argmax, table)

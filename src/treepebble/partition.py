@@ -29,14 +29,6 @@ class PathPartition:
     sizes: tuple[int, ...]
 
     @classmethod
-    def from_paths(cls, paths: Sequence[Sequence[str]]) -> "PathPartition":
-        ordered = sorted((tuple(p) for p in paths), key=len, reverse=True)
-        for p in ordered:
-            if len(p) < 2:
-                raise ValueError("a partition path needs at least one arc")
-        return cls(tuple(ordered), tuple(len(p) - 1 for p in ordered))
-
-    @classmethod
     def from_long_paths(cls, paths: list[list[int]], names: Sequence[str]) -> "PathPartition":
         """Name ``long_paths`` output, which is already ordered and valid."""
         # list comprehensions: generator expressions cost ~2x on these short paths

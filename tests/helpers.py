@@ -134,7 +134,7 @@ def random_weights(t: Tree, total: int, rng: random.Random) -> WeightFunction:
     return WeightFunction(counts)
 
 
-def random_path_partition(forest, rng: random.Random) -> list[list[str]]:
+def random_path_partition(forest, rng: random.Random) -> PathPartition:
     """A uniform-ish valid path partition: arc-disjoint directed paths covering all arcs."""
     out = {src: dst for src, dst in forest.arcs}
     incoming: dict[str, list[str]] = {}
@@ -158,7 +158,8 @@ def random_path_partition(forest, rng: random.Random) -> list[list[str]]:
             remaining.discard(p)
             path.insert(0, p)
         paths.append(path)
-    return paths
+    ordered = sorted((tuple(p) for p in paths), key=len, reverse=True)  # each has an arc
+    return PathPartition(tuple(ordered), tuple(len(p) - 1 for p in ordered))
 
 
 def fold_hat_random_order(

@@ -20,8 +20,12 @@ from treepebble import (
     t_pebbling_global,
     t_pebbling_number,
     TPebblingResult,
+    UnknownVertexError,
 )
+from treepebble.checked import INT64_MAX
+from treepebble.cover import _all_scores
 from helpers import (
+    all_shapes,
     random_weights,
     reference_cover,
     reference_s_omega,
@@ -112,6 +116,10 @@ class TestCoverPebblingNumber:
         assert result.gamma == 0
         assert result.argmax_root is None
         assert result.per_vertex_s == {}
+
+    def test_unknown_demand_vertex_names_the_smallest(self):
+        with pytest.raises(UnknownVertexError, match="^unknown vertex 'y'$"):
+            cover_pebbling_number(tree("a b"), WeightFunction({"z": 1, "a": 1, "y": 1}))
 
     def test_gamma_is_table_max(self):
         t = tree("a b;b c;c d;c e")
@@ -217,7 +225,7 @@ def test_gamma_monotone_in_demand(n, seed, w_total, data):
 
 def _named(edges, n, rng):
     """Tree on vertices 0..n-1 with shuffled names, so name order hides the shape."""
-    names = [f"u{x:03d}" for x in rng.sample(range(1000), n)]
+    names = [f"u{x:03d}" for x in rng.sample(range(max(n, 1000)), n)]
     return Tree([(names[a], names[b]) for a, b in edges], names)
 
 
@@ -274,3 +282,205 @@ def test_overflow_matches_reference():
     for v in deep.names:
         expected = _outcome(lambda: reference_t_pebbling(deep, v, 1)[0])
         assert _outcome(lambda: t_pebbling_number(deep, v, 1).value) == expected
+
+
+def _per_root(t, w):
+    """``s_omega_at`` of each root in name order, None where it raises OverflowLimitError."""
+    scores = []
+    for v in t.names:
+        try:
+            scores.append(s_omega_at(t, w, v))
+        except OverflowLimitError:
+            scores.append(None)
+    return scores
+
+
+def _cover_from(t, w, scores):
+    """What one ``s_omega_at`` per root in name order gives: the result, or the first raise."""
+    if None in scores:
+        return _outcome(s_omega_at, t, w, t.names[scores.index(None)])
+    gamma = max(scores)
+    return CoverResult(gamma, t.names[scores.index(gamma)], dict(zip(t.names, scores)))
+
+
+def _families(n, rng):
+    """A random recursive tree, a star, a caterpillar and a spider on ``n`` shuffled names.
+
+    Spine and legs stay short enough that small demands score inside 64 bits.
+    """
+    yield _named([(rng.randrange(x), x) for x in range(1, n)], n, rng)
+    yield _named([(0, x) for x in range(1, n)], n, rng)
+    spine = min(n // 3 + 1, 40)
+    legs = [(rng.randrange(spine), x) for x in range(spine, n)]
+    yield _named([(i, i + 1) for i in range(spine - 1)] + legs, n, rng)
+    edges, x = [], 1
+    while x < n:
+        prev = 0
+        for _ in range(rng.randint(1, 25)):
+            if x < n:
+                edges.append((prev, x))
+                prev, x = x, x + 1
+    yield _named(edges, n, rng)
+
+
+def _demands(t, rng):
+    yield random_weights(t, rng.randint(1, 4), rng)
+    yield WeightFunction({v: rng.randint(1, 3) for v in rng.sample(t.names, min(t.n, 12))})
+    # entries near 2^62: sums of terms leave int64 at some roots
+    yield WeightFunction(
+        {v: 2 ** rng.randint(56, 62) + rng.randint(-3, 3) for v in rng.sample(t.names, min(t.n, 3))}
+    )
+
+
+def _spider(*legs):
+    """Legs ``(letter, edges)`` from the centre o; leg g's vertices are g01, g02, ... outward."""
+    return Tree(
+        [(f"{g}{i - 1:02d}" if i > 1 else "o", f"{g}{i:02d}") for g, m in legs for i in range(1, m + 1)]
+    )
+
+
+class TestAllRootsScoring:
+    """The one-rooting score table against one ``s_omega_at`` per root."""
+
+    def test_matches_per_root_scores_and_reference(self):
+        rng = random.Random(1906)
+        cases = [(t, w) for t in all_shapes(8) for w in _demands(t, rng)]
+        for n in (16, 100, 400, 1000):
+            for t in _families(n, rng):
+                cases += [(t, w) for w in _demands(t, rng)][: 3 if n < 1000 else 1]
+        # a 70-vertex spine: roots near one end keep a demand or a remainder path past 2^63
+        legs = [(rng.randrange(70), x) for x in range(70, 300)]
+        deep = _named([(i, i + 1) for i in range(69)] + legs, 300, rng)
+        cases += [(deep, random_weights(deep, k, rng)) for k in (1, 2, 5)]
+        outcomes = {"equal": 0, "both raise": 0}
+        for t, w in cases:
+            scores = _per_root(t, w)
+            assert _all_scores(t, w) == scores  # None exactly where s_omega_at raises
+            expected = _cover_from(t, w, scores)
+            assert _outcome(cover_pebbling_number, t, w) == expected
+            if isinstance(expected, CoverResult):
+                assert expected.gamma <= INT64_MAX
+                outcomes["equal"] += 1
+            else:
+                assert _outcome(extremal_distribution, t, w) == expected
+                outcomes["both raise"] += 1
+            if t.n > 100:
+                continue  # the Steiner-subtree and greedy model is cubic
+            try:
+                gamma, root, table, extremal = reference_cover(t, w)
+            except OverflowLimitError as exc:
+                assert expected == ("OverflowLimitError", str(exc))
+            else:
+                assert expected == CoverResult(gamma, root, table)
+                assert extremal_distribution(t, w) == extremal
+        assert min(outcomes.values()) > 0, outcomes
+
+    @pytest.mark.parametrize("n", [60, 62, 63, 64, 65, 70])
+    def test_deep_path_overflow_matches_per_root_scores(self, n):
+        # demands 62-64 edges apart and remainder paths of 62-69 arcs, at both ends
+        rng = random.Random(n)
+        names = [f"n{i:02d}" for i in range(n)]
+        ordered = Tree(list(zip(names, names[1:])))
+        shuffled = _named([(i, i + 1) for i in range(n - 1)], n, rng)
+        for t in (ordered, shuffled):
+            path = sorted(t.names, key=lambda v: t.distance(v, min(t.leaves())))
+            for picks in ((0,), (n - 1,), (0, n - 1), (1, n - 2), (n // 2,), (0, n // 2)):
+                for k in (1, 2**40):
+                    # unequal entries, so a sum of 2^63 * omega can wrap to a small D
+                    w = WeightFunction({path[i]: k * (j + 1) for j, i in enumerate(picks)})
+                    scores = _per_root(t, w)
+                    assert _all_scores(t, w) == scores
+                    expected = _cover_from(t, w, scores)
+                    assert _outcome(cover_pebbling_number, t, w) == expected
+                    assert _outcome(lambda: CoverResult(*reference_cover(t, w)[:3])) == expected
+
+    def test_farthest_demand_through_a_sibling(self):
+        # rooted at a02, the name-smallest demand, o's c leg holds the farthest demand and
+        # its b leg the runner-up; each leg finds the other's demand 31 to 70 edges away
+        t = _spider(("a", 2), ("b", 30), ("c", 40))
+        for w in ({"a02": 1, "b30": 1, "c40": 2}, {"a02": 2, "b30": 1, "c40": 1}):
+            w = WeightFunction(w)
+            assert _all_scores(t, w) == _per_root(t, w)
+
+    @pytest.mark.parametrize("case", ["random", "path-63", "spider"])
+    def test_roots_the_tree_once(self, monkeypatch, case):
+        # no root overflows, so none is re-scored; the last two keep demands 62 edges apart
+        rng = random.Random(12)
+        if case == "random":
+            t = next(_families(300, rng))
+            w = random_weights(t, 6, rng)
+        elif case == "path-63":
+            t = _named([(i, i + 1) for i in range(62)], 63, rng)
+            w = WeightFunction({v: 1 for v in t.names})
+        else:
+            t = _spider(("a", 31), ("b", 31), ("c", 20))
+            w = WeightFunction({"a31": 1, "b31": 1})
+        roots = []
+        rooting = Tree._rooting
+        monkeypatch.setattr(Tree, "_rooting", lambda self, r: roots.append(r) or rooting(self, r))
+        cover_pebbling_number(t, w)
+        assert len(roots) == 1
+        roots.clear()
+        extremal_distribution(t, w)
+        assert len(roots) <= 2
+
+
+@pytest.mark.parametrize("n", [50, 300, 1000])
+def test_single_support_equals_t_pebbling_at_scale(n):
+    rng = random.Random(n)
+    for t in _families(n, rng):
+        for v in rng.sample(t.names, 3):
+            k = rng.randint(1, 3)
+            assert cover_pebbling_number(t, WeightFunction({v: k})).gamma == (
+                t_pebbling_number(t, v, k).value
+            )
+
+
+@pytest.mark.parametrize("n", [100, 700, 2000])
+def test_positive_demand_everywhere_is_the_distance_sum(n):
+    # with every vertex demanded there is no remainder: s(v) = sum of omega(u) * 2^d(u, v)
+    rng = random.Random(n)
+    t = next(_families(n, rng))
+    w = WeightFunction({v: rng.randint(1, 3) for v in t.names})
+    table = {v: sum(w[u] << d for u, d in t.distances_from(v).items()) for v in t.names}
+    gamma = max(table.values())
+    result = cover_pebbling_number(t, w)
+    assert result == CoverResult(gamma, next(v for v in t.names if table[v] == gamma), table)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 100, 9999])
+def test_star_positive_demand_closed_form(m):
+    # centre c: omega(c) + 2 L; leaf x: omega(x) + 2 omega(c) + 4 (L - omega(x)), L the leaf total
+    rng = random.Random(m)
+    leaves = [f"l{i:04d}" for i in range(m)]
+    star = Tree([("c", x) for x in leaves])
+    w = WeightFunction({"c": rng.randint(1, 5), **{x: rng.randint(1, 5) for x in leaves}})
+    total = w.total - w["c"]
+    table = {"c": w["c"] + 2 * total, **{x: 2 * w["c"] + 4 * total - 3 * w[x] for x in leaves}}
+    result = cover_pebbling_number(star, w)
+    assert result.per_vertex_s == table
+    lightest = min(w[x] for x in leaves)
+    assert result.gamma == max(w["c"] + 2 * total, 2 * w["c"] + 4 * total - 3 * lightest)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 62, 63])
+def test_path_positive_demand_closed_form(n):
+    # vertex i of an n-path with unit demand everywhere scores 2^(i+1) + 2^(n-i) - 3
+    names = [f"p{i:05d}" for i in range(n)]
+    path = Tree(list(zip(names, names[1:])), names)
+    result = cover_pebbling_number(path, WeightFunction({v: 1 for v in names}))
+    assert result.per_vertex_s == {v: 2 ** (i + 1) + 2 ** (n - i) - 3 for i, v in enumerate(names)}
+    assert (result.gamma, result.argmax_root) == (2**n - 1, names[0])  # 2^63 - 1 at n = 63
+
+
+@pytest.mark.parametrize("n", [64, 70, 10**4])
+def test_long_path_positive_demand_overflows(n):
+    # the first root is an end: its demand at distance 63 is the first term past int64
+    names = [f"p{i:05d}" for i in range(n)]
+    path = Tree(list(zip(names, names[1:])))
+    w = WeightFunction({v: 1 for v in names})
+    message = "^demand term: 2\\^63 overflows a signed 64-bit integer$"
+    with pytest.raises(OverflowLimitError, match=message):
+        cover_pebbling_number(path, w)
+    with pytest.raises(OverflowLimitError, match=message):
+        extremal_distribution(path, w)
