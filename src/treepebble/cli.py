@@ -38,14 +38,7 @@ from .errors import (
     UnknownVertexError,
 )
 from .oracle import _report_text, random_tree, verify_gamma
-from .solvability import (
-    PebblingMove,
-    is_solvable,
-    parse_moves,
-    serialize_moves,
-    simulate,
-    solve_witness,
-)
+from .solvability import is_solvable, parse_moves, serialize_moves, simulate, solve_witness
 from .tree import Distribution, _edge_list, parse_distribution, parse_tree, parse_weights
 
 EXIT_OK = 0
@@ -88,9 +81,7 @@ def _read(path: str) -> str:
 
 
 def _jsonable(value: object) -> object:
-    """JSON form of the package objects a payload may hold."""
-    if isinstance(value, PebblingMove):
-        return [value.src, value.dst]
+    """JSON form of the package objects a payload may hold (moves are tuples already)."""
     if isinstance(value, Distribution):
         return dict(value.items())
     raise TypeError(f"{type(value).__name__} is not JSON serializable")

@@ -11,15 +11,14 @@ that root, and replaying the folds produces an explicit move sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .checked import checked
 from .errors import IllegalMoveError, NotSolvableError, TreeFormatError
-from .tree import Distribution, Tree, WeightFunction, _content_lines
+from .tree import Distribution, Tree, WeightFunction, _token_lines
 
 
-@dataclass(frozen=True)
-class PebblingMove:
+class PebblingMove(NamedTuple):
     """Take two pebbles off ``src`` and put one on the adjacent ``dst``."""
 
     src: str
@@ -116,7 +115,7 @@ def solve_witness(
     moves: list[PebblingMove] = []
     for x in order[:-1]:
         cv = fold_value[x]
-        if cv >= 0 and cv // 2:
+        if cv >= 2:
             moves.extend([PebblingMove(names[x], names[parent[x]])] * (cv // 2))
 
     pre: list[int] = []
@@ -126,9 +125,7 @@ def solve_witness(
         pre.append(x)
         children = [y for y in tree._adj[x] if parent[y] == x]
         stack.extend(reversed(children))
-    for x in pre:
-        if x == ir:
-            continue
+    for x in pre:  # the root's value is nonnegative, so it adds no move
         cv = fold_value[x]
         if cv < 0:
             moves.extend([PebblingMove(names[parent[x]], names[x])] * (-cv))
@@ -142,13 +139,14 @@ def simulate(tree: Tree, dist: Distribution, moves: Iterable[PebblingMove]) -> D
     move or an underfunded source.
     """
     counts = dist.row(tree)
-    for i, mv in enumerate(moves):
-        iu = tree._require(mv.src)
-        iv = tree._require(mv.dst)
-        if iu == iv or iv not in tree._adj[iu]:
-            raise IllegalMoveError(i, f"'{mv.src}' and '{mv.dst}' are not adjacent")
+    parent = tree._parent
+    for i, (src, dst) in enumerate(moves):
+        iu = tree._require(src)
+        iv = tree._require(dst)
+        if parent[iu] != iv and parent[iv] != iu:
+            raise IllegalMoveError(i, f"'{src}' and '{dst}' are not adjacent")
         if counts[iu] < 2:
-            raise IllegalMoveError(i, f"source '{mv.src}' has {counts[iu]} pebbles")
+            raise IllegalMoveError(i, f"source '{src}' has {counts[iu]} pebbles")
         counts[iu] -= 2
         counts[iv] += 1
     return Distribution.from_row(tree, counts)
@@ -157,8 +155,7 @@ def simulate(tree: Tree, dist: Distribution, moves: Iterable[PebblingMove]) -> D
 def parse_moves(text: str, tree: Tree) -> list[PebblingMove]:
     """Parse ``from to`` lines into moves over ``tree``'s vertices."""
     moves: list[PebblingMove] = []
-    for lineno, line in _content_lines(text):
-        tokens = line.split()
+    for lineno, tokens in _token_lines(text):
         if len(tokens) != 2:
             raise TreeFormatError(f"line {lineno}: expected 'from to'")
         src, dst = tokens
@@ -170,6 +167,4 @@ def parse_moves(text: str, tree: Tree) -> list[PebblingMove]:
 
 def serialize_moves(moves: Sequence[PebblingMove]) -> str:
     """Replayable ``from to`` document; empty for an empty move list."""
-    if not moves:
-        return ""
-    return "\n".join(str(mv) for mv in moves) + "\n"
+    return "".join(f"{src} {dst}\n" for src, dst in moves)

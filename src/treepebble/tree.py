@@ -31,7 +31,7 @@ _COUNT = re.compile(r"(-?)[0-9]+")
 def _check_name(name: str) -> str:
     if not isinstance(name, str) or not name:
         raise TreeFormatError(f"vertex name must be a nonempty string, got {name!r}")
-    if any(ch.isspace() for ch in name):
+    if name.split() != [name]:
         raise TreeFormatError(f"vertex name {name!r} contains whitespace")
     if name.startswith("#"):
         raise TreeFormatError(f"vertex name {name!r} starts with '#' (reserved for comments)")
@@ -47,10 +47,9 @@ class Tree:
         edges: unordered edges as ``(u, v)`` pairs with ``u < v``, sorted.
     """
 
-    __slots__ = ("names", "index", "edges", "_adj")
+    __slots__ = ("names", "index", "edges", "_adj", "_parent")
 
     def __init__(self, edges: Iterable[tuple[str, str]], vertices: Iterable[str] = ()):
-        norm: list[tuple[str, str]] = []
         names: set[str] = set()
         seen: set[tuple[str, str]] = set()
         for u, v in edges:
@@ -62,7 +61,6 @@ class Tree:
             if pair in seen:
                 raise TreeFormatError(f"duplicate edge {pair[0]} {pair[1]}")
             seen.add(pair)
-            norm.append(pair)
             names.add(u)
             names.add(v)
         for v in vertices:
@@ -72,7 +70,7 @@ class Tree:
 
         self.names: tuple[str, ...] = tuple(sorted(names))
         self.index: dict[str, int] = {name: i for i, name in enumerate(self.names)}
-        self.edges: tuple[tuple[str, str], ...] = tuple(sorted(norm))
+        self.edges: tuple[tuple[str, str], ...] = tuple(sorted(seen))
 
         adj: list[list[int]] = [[] for _ in self.names]
         for u, v in self.edges:
@@ -82,7 +80,9 @@ class Tree:
         # sorted names make index order equal name order
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
 
-        if len(self._rooting(0)[0]) != len(self.names):
+        # rooted at index 0, u-v is an edge iff parent[u] == v or parent[v] == u
+        order, self._parent, _ = self._rooting(0)
+        if len(order) != len(self.names):
             raise TreeFormatError("edges do not form a connected graph (disconnected)")
         if len(self.edges) != len(self.names) - 1:
             raise TreeFormatError("cycle detected: edge count exceeds vertex count - 1")
@@ -222,9 +222,10 @@ class DirectedForest:
             is_sink[tree._require(name)] = True
         out = [-1] * tree.n
         pending = [0] * tree.n  # arcs into each vertex not yet ordered
+        parent = tree._parent
         for src, dst in sorted(arcs):
             s, d = tree._require(src), tree._require(dst)
-            if d not in tree._adj[s]:
+            if parent[s] != d and parent[d] != s:
                 raise ValueError(f"arc {src}->{dst} is not over an edge of the host tree")
             if out[s] >= 0:
                 raise ValueError(f"vertex '{src}' has two outgoing arcs")
@@ -348,12 +349,12 @@ class Distribution(_VertexValues):
 # -- document parsing and serialization ---------------------------------
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+def _token_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, whitespace-split tokens)`` of each line that is not blank or a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+        tokens = raw.split()
+        if tokens and not tokens[0].startswith("#"):
+            yield lineno, tokens
 
 
 def parse_tree(text: str) -> Tree:
@@ -365,8 +366,7 @@ def parse_tree(text: str) -> Tree:
     """
     edges: list[tuple[str, str]] = []
     singles: list[str] = []
-    for lineno, line in _content_lines(text):
-        tokens = line.split()
+    for lineno, tokens in _token_lines(text):
         if len(tokens) == 1:
             singles.append(tokens[0])
         elif len(tokens) == 2:
@@ -402,8 +402,7 @@ def parse_vertex_map(text: str, tree: Tree) -> dict[str, int]:
     A count is ASCII digits only; one above 2^63 - 1 raises OverflowLimitError.
     """
     values: dict[str, int] = {}
-    for lineno, line in _content_lines(text):
-        tokens = line.split()
+    for lineno, tokens in _token_lines(text):
         if len(tokens) != 2:
             raise TreeFormatError(f"line {lineno}: expected 'vertex count'")
         name, raw = tokens

@@ -8,11 +8,9 @@ messages can be compared too.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from treepebble import (
@@ -34,24 +32,6 @@ def tree(text: str) -> Tree:
     return parse_tree(text.replace(";", "\n"))
 
 
-def decode_pruefer(sequence: tuple[int, ...], names: list[str]) -> Tree:
-    n = len(names)
-    degree = [1] * n
-    for x in sequence:
-        degree[x] += 1
-    leaves = [i for i in range(n) if degree[i] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in sequence:
-        leaf = heapq.heappop(leaves)
-        edges.append((names[leaf], names[x]))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    edges.append((names[heapq.heappop(leaves)], names[heapq.heappop(leaves)]))
-    return Tree(edges)
-
-
 def canonical_shape(t: Tree):
     """AHU canonical form rooted at the tree center(s); equal iff isomorphic."""
     adj = {v: set(t.neighbors(v)) for v in t.names}
@@ -71,28 +51,6 @@ def canonical_shape(t: Tree):
         return tuple(sorted(ahu(u, v) for u in t.neighbors(v) if u != parent))
 
     return min(ahu(c, None) for c in sorted(remaining))
-
-
-@lru_cache(maxsize=None)
-def all_unlabeled_trees(max_n: int) -> tuple[Tree, ...]:
-    """One representative per isomorphism class, for every size up to max_n."""
-    trees: list[Tree] = []
-    for n in range(1, max_n + 1):
-        names = [f"v{i}" for i in range(1, n + 1)]
-        if n == 1:
-            candidates = [Tree((), names)]
-        elif n == 2:
-            candidates = [Tree([(names[0], names[1])])]
-        else:
-            candidates = [
-                decode_pruefer(seq, names)
-                for seq in itertools.product(range(n), repeat=n - 2)
-            ]
-        seen: dict = {}
-        for t in candidates:
-            seen.setdefault(canonical_shape(t), t)
-        trees.extend(seen.values())
-    return tuple(trees)
 
 
 def all_shapes(max_n: int) -> list[Tree]:

@@ -30,7 +30,7 @@ from treepebble import (
 )
 from treepebble.cli import run as cli_run
 from helpers import (
-    all_unlabeled_trees,
+    all_shapes,
     fold_hat_random_order,
     random_distribution,
     random_path_partition,
@@ -77,7 +77,7 @@ def random_family_results(random_family):
 
 def test_criterion_1_cover_formula_on_small_trees():
     with criterion(1, "cover formula matches the oracle on all trees up to 6 vertices"):
-        trees = all_unlabeled_trees(6)
+        trees = all_shapes(6)
         assert Counter(t.n for t in trees) == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6}
         checked = 0
         for t in trees:
@@ -90,7 +90,7 @@ def test_criterion_1_cover_formula_on_small_trees():
 
 def test_criterion_2_t_pebbling_formula_vs_oracle():
     with criterion(2, "t-pebbling formula on all trees up to 7 vertices"):
-        trees = all_unlabeled_trees(7)
+        trees = all_shapes(7)
         assert Counter(t.n for t in trees) == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11}
         for t in trees:
             for v in t.names:
@@ -146,7 +146,7 @@ def test_criterion_5_named_worked_values():
 
 def test_criterion_6_extremal_lower_bound():
     with criterion(6, "extremal distribution is one short and unsolvable"):
-        for t in all_unlabeled_trees(6):
+        for t in all_shapes(6):
             for w in weight_functions(t, max_entry=2, max_total=4):
                 gamma = cover_pebbling_number(t, w).gamma
                 ex = extremal_distribution(t, w)

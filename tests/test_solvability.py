@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -29,7 +30,6 @@ from treepebble.oracle import _compositions
 from helpers import (
     GeneralizedDistribution,
     all_shapes,
-    all_unlabeled_trees,
     fold_hat_random_order,
     random_distribution,
     random_weights,
@@ -139,7 +139,7 @@ class TestIsSolvable:
     def test_distribution_equal_to_demand_is_solvable(self):
         cases = [
             (t, w)
-            for t in all_unlabeled_trees(6)
+            for t in all_shapes(6)
             for w in itertools.islice(weight_functions(t), 12)
         ]
         rng = random.Random(5)
@@ -286,6 +286,24 @@ class TestSimulate:
         with pytest.raises(IllegalMoveError, match="adjacent"):
             simulate(t, Distribution({"a": 4}), [PebblingMove("a", "c")])
 
+    def test_self_move_rejected(self):
+        with pytest.raises(IllegalMoveError, match="'a' and 'a' are not adjacent") as exc:
+            simulate(tree("a b"), Distribution({"a": 4}), [PebblingMove("a", "a")])
+        assert exc.value.index == 0
+
+    def test_accepts_exactly_the_edges(self):
+        for t in all_shapes(8):
+            for u in t.names:
+                d = Distribution({u: 2})
+                for v in t.names:
+                    try:
+                        simulate(t, d, [PebblingMove(u, v)])
+                        accepted = True
+                    except IllegalMoveError as exc:
+                        assert exc.reason == f"'{u}' and '{v}' are not adjacent"
+                        accepted = False
+                    assert accepted == (v in t.neighbors(u)), (t.edges, u, v)
+
     def test_later_index_reported(self):
         t = tree("a b;b c")
         moves = [PebblingMove("a", "b")] * 2 + [PebblingMove("b", "c")] * 2
@@ -320,6 +338,27 @@ def test_first_unknown_name_in_name_order(call):
     with pytest.raises(UnknownVertexError) as exc:
         call(tree("a b"))
     assert str(exc.value) == "unknown vertex 'yy'"
+
+
+class TestPebblingMove:
+    def test_text_forms(self):
+        mv = PebblingMove("a", "b")
+        assert repr(mv) == "PebblingMove(src='a', dst='b')"
+        assert str(mv) == "a b"
+
+    def test_equality_and_hash(self):
+        assert PebblingMove("a", "b") == PebblingMove("a", "b")
+        assert PebblingMove("a", "b") != PebblingMove("b", "a")
+        assert hash(PebblingMove("a", "b")) == hash(PebblingMove("a", "b"))
+        assert len({PebblingMove("a", "b"), PebblingMove("a", "b"), PebblingMove("b", "a")}) == 2
+
+    def test_immutable(self):
+        mv = PebblingMove("a", "b")
+        with pytest.raises(AttributeError):
+            mv.src = "c"
+
+    def test_json_is_a_name_pair(self):
+        assert json.dumps(PebblingMove("a", "b")) == '["a", "b"]'
 
 
 class TestMoveDocuments:
@@ -376,7 +415,7 @@ def test_matches_brute_force_search(n, seed, d_size, w_total):
 
 def test_exhaustive_equivalence_on_tiny_trees():
     # every distribution of up to 6 pebbles against a spread of demands
-    for t in all_unlabeled_trees(4):
+    for t in all_shapes(4):
         for w in itertools.islice(weight_functions(t), 20):
             for size in range(7):
                 for comp in _compositions(size, t.n):

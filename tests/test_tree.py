@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from treepebble import (
     TreeFormatError,
     UnknownVertexError,
     WeightFunction,
+    parse_moves,
     parse_tree,
     parse_vertex_map,
     random_tree,
@@ -252,6 +255,37 @@ class TestVertexMapParsing:
     def test_above_int64_overflows(self, raw):
         with pytest.raises(OverflowLimitError, match="line 2: count for vertex 'b' exceeds"):
             parse_vertex_map(f"a 1\nb {raw}", tree("a b"))
+
+
+# every code point str.isspace() accepts; str.splitlines() also breaks lines at some
+_SPACES = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace()]
+
+
+def _document(lines: list[str], ch: str) -> str:
+    """``lines`` with ``ch`` between tokens, or between lines where it breaks a line."""
+    if len(f"a{ch}b".splitlines()) == 2:
+        return ch.join(lines) + ch
+    return "".join(line.replace(" ", ch) + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("ch", _SPACES, ids=lambda ch: f"U+{ord(ch):04X}")
+class TestWhitespace:
+    def test_name_with_whitespace_rejected(self, ch):
+        with pytest.raises(TreeFormatError, match="contains whitespace"):
+            Tree([(f"a{ch}b", "c")])
+
+    def test_separates_tree_tokens(self, ch):
+        assert parse_tree(_document(["a b", "b c"], ch)) == tree("a b;b c")
+
+    def test_separates_vertex_map_tokens(self, ch):
+        assert parse_vertex_map(_document(["a 1", "c 2"], ch), tree("a b;b c")) == {"a": 1, "c": 2}
+
+    def test_separates_move_tokens(self, ch):
+        moves = parse_moves(_document(["a b", "b c"], ch), tree("a b;b c"))
+        assert moves == [("a", "b"), ("b", "c")]
+
+    def test_indented_comment_skipped(self, ch):
+        assert parse_tree(f"{ch}# x y z\na b\n") == tree("a b")
 
 
 @settings(max_examples=80, deadline=None)
