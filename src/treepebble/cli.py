@@ -37,9 +37,9 @@ from .errors import (
     TreeFormatError,
     UnknownVertexError,
 )
-from .oracle import _report_text, random_tree, verify_gamma
+from .oracle import random_tree, verify_gamma
 from .solvability import is_solvable, parse_moves, serialize_moves, simulate, solve_witness
-from .tree import Distribution, _edge_list, parse_distribution, parse_tree, parse_weights
+from .tree import _edge_list, parse_distribution, parse_tree, parse_weights
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -80,13 +80,6 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _jsonable(value: object) -> object:
-    """JSON form of the package objects a payload may hold (moves are tuples already)."""
-    if isinstance(value, Distribution):
-        return dict(value.items())
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 def _sizes_line(sizes: Sequence[int]) -> str:
     return "sizes" + "".join(f" {a}" for a in sizes) + "\n"
 
@@ -94,7 +87,7 @@ def _sizes_line(sizes: Sequence[int]) -> str:
 def _table(out: IO[str], header: str, names: Sequence[str], values: Mapping[str, int]) -> None:
     out.write(header)
     for name in names:
-        out.write(f"{name} {values[name]}\n")
+        out.write(f"{name} {values.get(name, 0)}\n")
 
 
 def _partition(a) -> tuple[int, dict]:
@@ -175,7 +168,7 @@ def _simulate(a) -> tuple[int, dict]:
         final = simulate(a.tree, a.dist, a.moves)
     except IllegalMoveError as exc:
         return EXIT_NEGATIVE, {"illegal_index": exc.index, "reason": exc.reason}
-    return EXIT_OK, {"final": final, "size": final.size}
+    return EXIT_OK, {"final": dict(final.items()), "size": final.size}
 
 
 def _simulate_text(out: IO[str], p: dict, a) -> None:
@@ -194,7 +187,7 @@ def _extremal(a) -> tuple[int, dict]:
         "gamma": result.gamma,
         "root": result.argmax_root,
         "size": dist.size,
-        "distribution": dist,
+        "distribution": dict(dist.items()),
     }
 
 
@@ -206,6 +199,20 @@ def _extremal_text(out: IO[str], p: dict, a) -> None:
 def _verify(a) -> tuple[int, dict]:
     report = verify_gamma(a.tree, a.weights, max_pebbles=a.max_pebbles)
     return (EXIT_OK if report.status == "PASS" else EXIT_NEGATIVE), report.to_json_dict()
+
+
+def _report_text(out: IO[str], p: dict, a) -> None:
+    """``key value`` lines of the report payload, vertex maps as ``v k;v k``."""
+
+    def pairs(values: dict) -> str:
+        return ";".join(f"{v} {k}" for v, k in values.items())
+
+    keys = "status formula_gamma oracle_gamma confirmation distributions_checked tree"
+    for key in keys.split():
+        out.write(f"{key} {p[key]}\n")
+    out.write(f"omega {pairs(p['omega']) or 'none'}\n")
+    witness = p["witness"]
+    out.write(f"witness {'none' if witness is None else pairs(witness) or 'empty'}\n")
 
 
 def _gen_tree(a) -> tuple[int, dict]:
@@ -295,7 +302,7 @@ COMMANDS = {
             _arg("--max-pebbles", type=int, default=512, help="size-scan ceiling (default 512)"),
         ),
         _verify,
-        lambda out, p, a: out.write(_report_text(p)),
+        _report_text,
     ),
     "gen-tree": _Command(
         "random tree in edge-list format",
@@ -342,7 +349,7 @@ def _execute(argv: Sequence[str] | None, out: IO[str], err: IO[str]) -> int:
     code, payload = command.handler(args)
     if args.json:
         payload = {"command": args.command, **payload}
-        out.write(json.dumps(payload, sort_keys=True, default=_jsonable) + "\n")
+        out.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
         command.text(out, payload, args)
     return code

@@ -46,7 +46,7 @@ def t_pebbling_number(tree: Tree, v: str, k: int = 1) -> TPebblingResult:
         raise ValueError("pebble target k must be at least 1")
     part = _partition_toward(tree, v)
     if not part.sizes:
-        return TPebblingResult(k, part)
+        return TPebblingResult(checked(k, "partition score"), part)
     return TPebblingResult(partition_score(part.sizes, k), part)
 
 

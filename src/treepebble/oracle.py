@@ -115,31 +115,22 @@ def _search(
     ]
     while frames:
         state, succ = frames[-1]
-        pushed = False
-        solved = False
         for nxt in succ:
             verdict = cache.get(nxt)
-            if verdict is True:
-                solved = True
-                break
-            if verdict is False:
-                continue
-            if space.dominates(nxt):
-                _remember(cache, nxt, True)
-                solved = True
-                break
-            if space.hopeless(nxt):
-                _remember(cache, nxt, False)
-                continue
-            frames.append((nxt, space.successors(nxt)))
-            pushed = True
-            break
-        if solved:
-            # the whole stack is a chain of moves reaching a met demand
-            for s, _ in frames:
-                _remember(cache, s, True)
-            return True
-        if not pushed:
+            if verdict is None:
+                if space.dominates(nxt):
+                    verdict = _remember(cache, nxt, True)
+                elif space.hopeless(nxt):
+                    verdict = _remember(cache, nxt, False)
+                else:
+                    frames.append((nxt, space.successors(nxt)))
+                    break
+            if verdict:
+                # the whole stack is a chain of moves reaching a met demand
+                for s, _ in frames:
+                    _remember(cache, s, True)
+                return True
+        else:
             _remember(cache, state, False)
             frames.pop()
     return False
@@ -201,9 +192,6 @@ class VerificationReport:
     elapsed: float
     confirmation: str
 
-    def to_text(self) -> str:
-        return _report_text(self.to_json_dict())
-
     def to_json_dict(self) -> dict:
         witness = self.unsolvable_witness
         return {
@@ -216,20 +204,6 @@ class VerificationReport:
             "omega": dict(self.omega.items()),
             "witness": None if witness is None else dict(witness.items()),
         }
-
-
-def _report_text(payload: dict) -> str:
-    """``key value`` lines of a ``to_json_dict`` payload, vertex maps as ``v k;v k``."""
-
-    def pairs(values: dict) -> str:
-        return ";".join(f"{v} {k}" for v, k in values.items())
-
-    keys = "status formula_gamma oracle_gamma confirmation distributions_checked tree"
-    witness = payload["witness"]
-    lines = [f"{key} {payload[key]}" for key in keys.split()]
-    lines.append(f"omega {pairs(payload['omega']) or 'none'}")
-    lines.append(f"witness {'none' if witness is None else pairs(witness) or 'empty'}")
-    return "\n".join(lines) + "\n"
 
 
 def verify_gamma(
@@ -325,8 +299,6 @@ def random_tree(n: int, seed: int) -> Tree:
     names = [f"v{i:0{width}d}" for i in range(1, n + 1)]
     if n == 1:
         return Tree((), names)
-    if n == 2:
-        return Tree([(names[0], names[1])])
     rng = random.Random(seed)
     sequence = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n

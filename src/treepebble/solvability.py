@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .checked import checked
-from .errors import IllegalMoveError, NotSolvableError, TreeFormatError
+from .checked import INT64_MAX, checked
+from .errors import IllegalMoveError, NotSolvableError, OverflowLimitError, TreeFormatError
 from .tree import Distribution, Tree, WeightFunction, _token_lines
 
 
@@ -118,17 +118,13 @@ def solve_witness(
         if cv >= 2:
             moves.extend([PebblingMove(names[x], names[parent[x]])] * (cv // 2))
 
-    pre: list[int] = []
     stack = [ir]
-    while stack:
+    while stack:  # pre-order; the root's value is nonnegative, so it adds no move
         x = stack.pop()
-        pre.append(x)
-        children = [y for y in tree._adj[x] if parent[y] == x]
-        stack.extend(reversed(children))
-    for x in pre:  # the root's value is nonnegative, so it adds no move
         cv = fold_value[x]
         if cv < 0:
             moves.extend([PebblingMove(names[parent[x]], names[x])] * (-cv))
+        stack.extend(reversed([y for y in tree._adj[x] if parent[y] == x]))
     return moves
 
 
@@ -136,10 +132,11 @@ def simulate(tree: Tree, dist: Distribution, moves: Iterable[PebblingMove]) -> D
     """Apply moves in order; each needs two pebbles on its source.
 
     Raises IllegalMoveError (with the offending index) on a non-adjacent
-    move or an underfunded source.
+    move or an underfunded source, OverflowLimitError on a count past 2^63 - 1.
     """
     counts = dist.row(tree)
     parent = tree._parent
+    top = INT64_MAX
     for i, (src, dst) in enumerate(moves):
         iu = tree._require(src)
         iv = tree._require(dst)
@@ -147,6 +144,8 @@ def simulate(tree: Tree, dist: Distribution, moves: Iterable[PebblingMove]) -> D
             raise IllegalMoveError(i, f"'{src}' and '{dst}' are not adjacent")
         if counts[iu] < 2:
             raise IllegalMoveError(i, f"source '{src}' has {counts[iu]} pebbles")
+        if counts[iv] >= top:
+            raise OverflowLimitError(f"move {i} would put more than {top} pebbles on '{dst}'")
         counts[iu] -= 2
         counts[iv] += 1
     return Distribution.from_row(tree, counts)

@@ -77,8 +77,9 @@ class Tree:
             iu, iv = self.index[u], self.index[v]
             adj[iu].append(iv)
             adj[iv].append(iu)
-        # sorted names make index order equal name order
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+        # rows come out ascending (index order is name order): with the edges sorted, a
+        # vertex meets its smaller neighbours first, ascending, then its larger ones
+        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
 
         # rooted at index 0, u-v is an edge iff parent[u] == v or parent[v] == u
         order, self._parent, _ = self._rooting(0)
@@ -131,11 +132,6 @@ class Tree:
                     stack.append(y)
         order.reverse()
         return order, parent, depth
-
-    def distance(self, u: str, v: str) -> int:
-        """Number of edges on the unique u-v path."""
-        iu, iv = self._require(u), self._require(v)
-        return self._rooting(iu)[2][iv]
 
     def distances_from(self, v: str) -> dict[str, int]:
         """Distance from ``v`` to every vertex, keyed by name."""
@@ -258,11 +254,6 @@ class DirectedForest:
     @property
     def arc_count(self) -> int:
         return len(self._out) - self._out.count(-1)
-
-    def out_neighbor(self, name: str) -> str | None:
-        """Target of the unique outgoing arc of ``name``, or None."""
-        p = self._out[self.tree._require(name)]
-        return self.tree.names[p] if p >= 0 else None
 
     def __repr__(self) -> str:
         return f"DirectedForest({self.arc_count} arcs -> {{{', '.join(self.sinks)}}})"
@@ -415,11 +406,12 @@ def parse_vertex_map(text: str, tree: Tree) -> dict[str, int]:
         if match.group(1):
             raise TreeFormatError(f"line {lineno}: negative count for vertex '{name}'")
         # the length test keeps int() off strings it would refuse or crawl through
-        if len(raw.lstrip("0")) > len(str(INT64_MAX)) or int(raw) > INT64_MAX:
+        digits = raw.lstrip("0") or "0"
+        if len(digits) > len(str(INT64_MAX)) or int(digits) > INT64_MAX:
             raise OverflowLimitError(
                 f"line {lineno}: count for vertex '{name}' exceeds the signed 64-bit range"
             )
-        values[name] = int(raw)
+        values[name] = int(digits)
     return values
 
 

@@ -205,7 +205,8 @@ def reference_cover(t: Tree, weights: WeightFunction) -> tuple[int, str, dict[st
     root = min(v for v in t.names if table[v] == gamma)
     part = reference_s_omega(t, weights, root)[1]
     piles = [(path[0], 2**a - 1) for path, a in zip(part.paths, part.sizes)]
-    demand = sum(k * 2 ** t.distance(u, root) for u, k in weights.items())
+    dist = t.distances_from(root)
+    demand = sum(k * 2 ** dist[u] for u, k in weights.items())
     return gamma, root, table, Distribution(piles + [(root, demand - 1)])
 
 

@@ -384,6 +384,10 @@ GOLDEN_FILES = {
     "dup.tree": "a b\nb c\nc b\n",
     "empty.tree": "# no vertices\n",
     "single.tree": "a\n",
+    "full.map": "a 9223372036854775807\nb 9223372036854775807\n",
+    "ab.moves": "a b\n",
+    "zeros.map": "b " + "0" * 5000 + "8\n",
+    "zeros-huge.map": "a " + "0" * 5000 + "9223372036854775808\n",
 }
 
 GOLDEN = [
@@ -525,6 +529,21 @@ GOLDEN = [
     ('verify --tree star.tree --weights demand.map --max-pebbles 3', 4,
      '',
      'error: BUDGET: size scan passed max_pebbles=3\n'),
+    ('simulate --tree star.tree --dist full.map --moves ab.moves', 3,
+     '',
+     "error: OVERFLOW: move 0 would put more than 9223372036854775807 pebbles on 'b'\n"),
+    ('tpebble --tree single.tree --root a -t 100000000000000000000', 3,
+     '',
+     'error: OVERFLOW: partition score 100000000000000000000 is outside the signed 64-bit range\n'),
+    ('tpebble --tree single.tree -t 100000000000000000000', 3,
+     '',
+     'error: OVERFLOW: partition score 100000000000000000000 is outside the signed 64-bit range\n'),
+    ('simulate --tree star.tree --dist zeros.map --moves legal.moves', 0,
+     '# final size=6\na 1\nb 4\nc 1\nd 0\n',
+     ''),
+    ('simulate --tree star.tree --dist zeros-huge.map --moves legal.moves', 3,
+     '',
+     "error: OVERFLOW: line 1: count for vertex 'a' exceeds the signed 64-bit range\n"),
 ]
 
 

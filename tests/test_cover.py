@@ -17,13 +17,15 @@ from treepebble import (
     is_solvable,
     random_tree,
     s_omega_at,
+    simulate,
+    solve_witness,
     t_pebbling_global,
     t_pebbling_number,
     TPebblingResult,
     UnknownVertexError,
 )
 from treepebble.checked import INT64_MAX
-from treepebble.cover import _all_scores
+from treepebble.cover import _all_scores, _extremal_at
 from helpers import (
     all_shapes,
     random_weights,
@@ -58,6 +60,16 @@ class TestTPebblingNumber:
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
             t_pebbling_number(tree("a b"), "a", 0)
+
+    def test_single_vertex_k_is_checked(self):
+        t = Tree((), ("v",))
+        assert t_pebbling_number(t, "v", INT64_MAX).value == INT64_MAX
+        assert t_pebbling_global(t, INT64_MAX) == (INT64_MAX, "v")
+        message = "^partition score 100000000000000000000 is outside the signed 64-bit range$"
+        with pytest.raises(OverflowLimitError, match=message):
+            t_pebbling_number(t, "v", 10**20)
+        with pytest.raises(OverflowLimitError, match=message):
+            t_pebbling_global(t, 10**20)
 
 
 class TestTPebblingGlobal:
@@ -170,7 +182,8 @@ def test_positive_demand_reduces_to_pure_distance_form(n, seed, data):
         {v: data.draw(st.integers(1, 2)) for v in t.names}
     )
     for v in t.names:
-        expected = sum(w[u] * 2 ** t.distance(u, v) for u in t.names)
+        dist = t.distances_from(v)
+        expected = sum(w[u] * 2 ** dist[u] for u in t.names)
         assert s_omega_at(t, w, v) == expected
 
 
@@ -383,7 +396,7 @@ class TestAllRootsScoring:
         ordered = Tree(list(zip(names, names[1:])))
         shuffled = _named([(i, i + 1) for i in range(n - 1)], n, rng)
         for t in (ordered, shuffled):
-            path = sorted(t.names, key=lambda v: t.distance(v, min(t.leaves())))
+            path = sorted(t.names, key=t.distances_from(min(t.leaves())).__getitem__)
             for picks in ((0,), (n - 1,), (0, n - 1), (1, n - 2), (n // 2,), (0, n // 2)):
                 for k in (1, 2**40):
                     # unequal entries, so a sum of 2^63 * omega can wrap to a small D
@@ -484,3 +497,40 @@ def test_long_path_positive_demand_overflows(n):
         cover_pebbling_number(path, w)
     with pytest.raises(OverflowLimitError, match=message):
         extremal_distribution(path, w)
+
+
+# Certificates past the oracle's reach, on seeded random trees. The
+# unsolvable side rests on the collapse (is_solvable), which acceptance
+# criterion 3 checks against the oracle.
+
+
+def _certificate_instances(low, high, seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        t = random_tree(rng.randint(low, high), rng.randrange(2**32))
+        yield t, random_weights(t, rng.randint(1, 6), rng)
+
+
+def test_extremal_lower_bound_at_every_root():
+    # at each root v, the extremal distribution has s(v) - 1 pebbles and cannot meet the demand
+    for t, w in _certificate_instances(10, 200, 5):
+        table = cover_pebbling_number(t, w).per_vertex_s
+        for v in t.names:
+            d = _extremal_at(t, w, v)
+            assert d.size == table[v] - 1
+            assert not is_solvable(t, d, w).solvable, (t.edges, dict(w.items()), v)
+
+
+def test_extremal_plus_one_pebble_is_solvable():
+    # gamma is tight: one more pebble anywhere on the argmax extremal distribution meets the
+    # demand, and the witness moves replay to dominate it (replayed only up to 2^14 pebbles)
+    for t, w in _certificate_instances(5, 30, 6):
+        result = cover_pebbling_number(t, w)
+        extremal = _extremal_at(t, w, result.argmax_root)
+        for v in t.names:
+            d = Distribution(extremal.items() + ((v, 1),))
+            cert = is_solvable(t, d, w)
+            assert cert.solvable, (t.edges, dict(w.items()), v)
+            if result.gamma <= 2**14:
+                moves = solve_witness(t, d, w, cert.witness_root)
+                assert simulate(t, d, moves).dominates(w)

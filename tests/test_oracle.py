@@ -107,9 +107,6 @@ class TestVerifyGamma:
 
     def test_text_and_json_forms(self):
         report = verify_gamma(tree("a b"), WeightFunction({"b": 1}))
-        text = report.to_text()
-        assert "status PASS" in text
-        assert "oracle_gamma 2" in text
         payload = report.to_json_dict()
         assert payload["status"] == "PASS"
         assert payload["witness"] == {"a": 1}

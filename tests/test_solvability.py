@@ -318,6 +318,16 @@ class TestSimulate:
         final = simulate(t, d, moves)
         assert final.size == d.size - len(moves)
 
+    def test_destination_past_int64_raises(self):
+        t = tree("a b;b c")
+        d = Distribution({"a": INT64_MAX, "b": INT64_MAX - 1})
+        moves = [PebblingMove("a", "b")] * 2
+        message = f"^move 1 would put more than {INT64_MAX} pebbles on 'b'$"
+        with pytest.raises(OverflowLimitError, match=message):
+            simulate(t, d, moves)
+        # one move short of the bound lands on exactly 2^63 - 1
+        assert simulate(t, d, moves[:1])["b"] == INT64_MAX
+
 
 # insertion order puts 'zz' first; the name-smallest unknown is reported
 _TWO_UNKNOWN = {"zz": 1, "yy": 1}

@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -18,7 +19,7 @@ from treepebble import (
     random_tree,
     serialize_tree,
 )
-from helpers import tree
+from helpers import all_shapes, tree
 
 
 class TestParseTree:
@@ -72,21 +73,21 @@ class TestParseTree:
 
 class TestDistance:
     def test_path_ends(self):
-        assert tree("a b;b c").distance("a", "c") == 2
+        assert tree("a b;b c").distances_from("a")["c"] == 2
 
     def test_identity(self):
-        assert tree("a b;b c").distance("a", "a") == 0
+        assert tree("a b;b c").distances_from("a")["a"] == 0
 
     def test_star_through_center(self):
-        assert tree("x c;y c;z c").distance("x", "y") == 2
+        assert tree("x c;y c;z c").distances_from("x")["y"] == 2
 
     def test_symmetric(self):
         t = tree("a b;b c;c d")
-        assert t.distance("a", "d") == t.distance("d", "a") == 3
+        assert t.distances_from("a")["d"] == t.distances_from("d")["a"] == 3
 
     def test_unknown_vertex(self):
         with pytest.raises(UnknownVertexError):
-            tree("a b").distance("a", "zz")
+            tree("a b").distances_from("zz")
 
 
 class TestLeaves:
@@ -98,6 +99,21 @@ class TestLeaves:
 
     def test_single_vertex(self):
         assert parse_tree("v").leaves() == ("v",)
+
+
+def test_neighbors_ascending_on_relabelled_shapes():
+    # the constructor takes rows in edge order without sorting them; pin that they come out sorted
+    rng = random.Random(8)
+    for shape in all_shapes(8):
+        for _ in range(20):
+            names = dict(zip(shape.names, (str(x) for x in rng.sample(range(1000), shape.n))))
+            edges = [(names[u], names[v]) for u, v in shape.edges]
+            rng.shuffle(edges)
+            t = Tree([e if rng.random() < 0.5 else e[::-1] for e in edges], names.values())
+            for v in t.names:
+                row = t.neighbors(v)
+                assert list(row) == sorted(row), (edges, v)
+                assert set(row) == {x for e in edges if v in e for x in e if x != v}
 
 
 class TestMinimalSubtree:
@@ -188,11 +204,6 @@ class TestDirectedForest:
         with pytest.raises(ValueError, match="sink vertex 'b' has an outgoing arc"):
             DirectedForest(t, [("a", "b"), ("b", "c")], ["b", "c"])
 
-    def test_out_neighbor(self):
-        f = tree("a b;b c").orient_toward(("c",))
-        assert f.out_neighbor("a") == "b"
-        assert f.out_neighbor("c") is None
-
 
 class TestVertexValues:
     def test_defaults_and_support(self):
@@ -251,7 +262,14 @@ class TestVertexMapParsing:
     def test_largest_int64_accepted(self):
         assert parse_vertex_map(f"a {2**63 - 1}\nb 007", tree("a b")) == {"a": 2**63 - 1, "b": 7}
 
-    @pytest.mark.parametrize("raw", [str(2**63), str(2**70), "9" * 5000, "0" * 30 + str(2**63)])
+    def test_any_number_of_leading_zeros(self):
+        # past 4300 digits int() refuses the string, so the zeros must go first
+        zeros = "0" * 5000
+        assert parse_vertex_map(f"a {zeros}\nb {zeros}5", tree("a b")) == {"a": 0, "b": 5}
+
+    @pytest.mark.parametrize(
+        "raw", [str(2**63), str(2**70), "9" * 5000, "0" * 30 + str(2**63), "0" * 5000 + str(2**63)]
+    )
     def test_above_int64_overflows(self, raw):
         with pytest.raises(OverflowLimitError, match="line 2: count for vertex 'b' exceeds"):
             parse_vertex_map(f"a 1\nb {raw}", tree("a b"))
@@ -300,16 +318,16 @@ def test_serialize_parse_round_trip(n, seed):
 def test_tree_metric(n, seed):
     t = random_tree(n, seed)
     names = t.names
+    dist = {u: t.distances_from(u) for u in names}
     for u in names:
-        row = t.distances_from(u)
         for v in names:
-            assert row[v] == t.distance(v, u)
+            assert dist[u][v] == dist[v][u]
     # v lies on the u-w path exactly when distances add up
     for u in names:
         for v in names:
             for w in names:
-                duw = t.distance(u, w)
-                dsum = t.distance(u, v) + t.distance(v, w)
+                duw = dist[u][w]
+                dsum = dist[u][v] + dist[v][w]
                 assert duw <= dsum
                 assert (dsum - duw) % 2 == 0
 
