@@ -32,7 +32,7 @@ from .oracle import (
     random_tree,
     verify_gamma,
 )
-from .partition import PathPartition, majorize_cmp, max_path_partition, partition_score
+from .partition import PathPartition, max_path_partition, partition_score
 from .solvability import (
     PebblingMove,
     SolvabilityCertificate,
@@ -81,7 +81,6 @@ __all__ = [
     "extremal_distribution",
     "hat_c",
     "is_solvable",
-    "majorize_cmp",
     "max_path_partition",
     "parse_distribution",
     "parse_moves",

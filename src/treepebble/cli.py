@@ -18,6 +18,7 @@ text. ``_FAILURES`` maps each error type to its stderr label and exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import IO, Callable, Mapping, NamedTuple, Sequence
@@ -329,7 +330,8 @@ def build_parser() -> _Parser:
 
 
 def _execute(argv: Sequence[str] | None, out: IO[str], err: IO[str]) -> int:
-    args = build_parser().parse_args(argv)
+    with contextlib.redirect_stdout(out):  # argparse prints --help itself
+        args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
     # the input files among the arguments: the tree first, the rest over it
     if hasattr(args, "tree"):

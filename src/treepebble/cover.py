@@ -2,9 +2,14 @@
 
 ``t_pebbling_number`` prices delivering k pebbles to a single vertex;
 ``cover_pebbling_number`` prices meeting a whole nonnegative demand map at
-once. Both reduce to scores over maximum path partitions of oriented
-forests, and ``extremal_distribution`` realizes the matching lower bound
-with an unsolvable distribution one pebble short.
+once, as the largest score over all roots. One root's score is read off the
+maximum path partition of its oriented remainder forest (``s_omega_at``,
+``t_pebbling_number`` and the extremal piles); ``cover_pebbling_number``
+gets every root's score in one rerooting pass over depths and subtree
+heights instead, since a partition path of size s is worth the 2^s - 1 that
+the 2^height of its non-sink vertices sum to. ``extremal_distribution``
+realizes the matching lower bound with an unsolvable distribution one
+pebble short.
 """
 
 from __future__ import annotations

@@ -1,14 +1,14 @@
 """Brute-force ground truth, independent of the closed-form machinery.
 
-Solvability here is decided by exhaustive depth-first search over the
-distribution states reachable by legal pebbling moves (each move burns one
-pebble, so the search always terminates). The cover number is re-derived by
-scanning distribution sizes upward until every distribution of a size is
-solvable. Nothing in this module consults path partitions or score
-formulas; the only shortcuts are necessary conditions derived directly from
-the move definition, plus the leaf-support restriction for witness hunting
-(a maximum-size unsolvable distribution always exists with all pebbles on
-leaves).
+One solver per (tree, demand) pair decides solvability by exhaustive
+depth-first search over the states reachable by legal pebbling moves (each
+move burns one pebble, so the search terminates), memoizing verdicts across
+start states. The cover number is re-derived by scanning distribution sizes
+upward until every distribution of a size is solvable. Nothing here consults
+path partitions or score formulas; the only shortcuts are necessary
+conditions derived directly from the move definition, plus the leaf-support
+restriction for witness hunting (a maximum-size unsolvable distribution
+always exists with all pebbles on leaves).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import random
 import time
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Sequence
+from typing import Callable, Iterator
 
 from .cover import cover_pebbling_number
 from .errors import BudgetExceededError
@@ -33,47 +33,40 @@ MEMO_LIMIT = 10**7
 FULL_CONFIRM_LIMIT = 10_000
 
 
-class _SearchSpace:
-    """Move tables and sound filters for one (tree, demand) pair."""
+def _solver(
+    tree: Tree, weights: WeightFunction, prune: bool = True
+) -> Callable[[tuple[int, ...]], bool]:
+    """``solve(state)``: can some move sequence from ``state`` meet the demand?
 
-    __slots__ = ("n", "adj", "demand", "support", "total_demand", "rows", "thresholds", "prune")
+    All calls share one memo, capped at ``MEMO_LIMIT`` states. ``prune=False``
+    gives the filters no data (pebble floor 0, no rows): the raw move space.
+    """
+    n, adj = tree.n, tree._adj
+    demand = tuple(weights.row(tree))
+    support = tuple(i for i, d in enumerate(demand) if d)
+    floor = sum(demand) if prune else 0
+    # A move from u to an adjacent v changes sum_x c_x * 2^{-d(x,j)}
+    # by -2*2^{-d(u,j)} + 2^{-d(v,j)} <= 0, so that sum never grows;
+    # if it is already below demand(j), vertex j can never be met.
+    # Scaled by 2^{max d} to stay in integers.
+    filters: list[tuple[tuple[int, ...], int]] = []
+    for j in support if prune else ():
+        drow = tree._rooting(j)[2]
+        top = max(drow)
+        filters.append((tuple(1 << (top - d) for d in drow), demand[j] << top))
+    memo: dict[tuple[int, ...], bool] = {}
 
-    def __init__(self, tree: Tree, weights: WeightFunction, prune: bool = True):
-        self.n = tree.n
-        self.adj = tree._adj
-        self.demand = tuple(weights.row(tree))
-        self.support = tuple(i for i, d in enumerate(self.demand) if d)
-        self.total_demand = sum(self.demand)
-        self.prune = prune
-        rows: list[tuple[int, ...]] = []
-        thresholds: list[int] = []
-        if prune:
-            # A move from u to an adjacent v changes sum_x c_x * 2^{-d(x,j)}
-            # by -2*2^{-d(u,j)} + 2^{-d(v,j)} <= 0, so that sum never grows;
-            # if it is already below demand(j), vertex j can never be met.
-            # Scaled by 2^{max d} to stay in integers.
-            for j in self.support:
-                drow = tree._rooting(j)[2]
-                top = max(drow)
-                rows.append(tuple(1 << (top - d) for d in drow))
-                thresholds.append(self.demand[j] << top)
-        self.rows = tuple(rows)
-        self.thresholds = tuple(thresholds)
-
-    def dominates(self, state: tuple[int, ...]) -> bool:
-        demand = self.demand
-        for j in self.support:
+    def met(state: tuple[int, ...]) -> bool:
+        for j in support:
             if state[j] < demand[j]:
                 return False
         return True
 
-    def hopeless(self, state: tuple[int, ...]) -> bool:
+    def hopeless(state: tuple[int, ...]) -> bool:
         """True only when no move sequence from ``state`` can meet the demand."""
-        if not self.prune:
-            return False
-        if sum(state) < self.total_demand:
+        if sum(state) < floor:
             return True
-        for row, bound in zip(self.rows, self.thresholds):
+        for row, bound in filters:
             acc = 0
             for c, coefficient in zip(state, row):
                 if c:
@@ -82,58 +75,52 @@ class _SearchSpace:
                 return True
         return False
 
-    def successors(self, state: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        for u in range(self.n):
+    def moves(state: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        for u in range(n):
             if state[u] >= 2:
-                for v in self.adj[u]:
+                for v in adj[u]:
                     nxt = list(state)
                     nxt[u] -= 2
                     nxt[v] += 1
                     yield tuple(nxt)
 
+    def remember(state: tuple[int, ...], verdict: bool) -> bool:
+        if state not in memo and len(memo) >= MEMO_LIMIT:
+            raise BudgetExceededError(f"solvability memo exceeded {MEMO_LIMIT} states")
+        memo[state] = verdict
+        return verdict
 
-def _remember(cache: dict[tuple[int, ...], bool], state: tuple[int, ...], verdict: bool) -> bool:
-    if state not in cache and len(cache) >= MEMO_LIMIT:
-        raise BudgetExceededError(f"solvability memo exceeded {MEMO_LIMIT} states")
-    cache[state] = verdict
-    return verdict
+    def solve(start: tuple[int, ...]) -> bool:
+        if start in memo:
+            return memo[start]
+        if met(start):
+            return True  # a met start is never memoized: it costs no search
+        if hopeless(start):
+            return remember(start, False)
+        frames: list[tuple[tuple[int, ...], Iterator[tuple[int, ...]]]] = [(start, moves(start))]
+        while frames:
+            state, succ = frames[-1]
+            for nxt in succ:
+                verdict = memo.get(nxt)
+                if verdict is None:
+                    if met(nxt):
+                        verdict = remember(nxt, True)
+                    elif hopeless(nxt):
+                        verdict = remember(nxt, False)
+                    else:
+                        frames.append((nxt, moves(nxt)))
+                        break
+                if verdict:
+                    # the whole stack is a chain of moves reaching a met demand
+                    for s, _ in frames:
+                        remember(s, True)
+                    return True
+            else:
+                remember(state, False)
+                frames.pop()
+        return False
 
-
-def _search(
-    space: _SearchSpace, start: tuple[int, ...], cache: dict[tuple[int, ...], bool]
-) -> bool:
-    known = cache.get(start)
-    if known is not None:
-        return known
-    if space.dominates(start):
-        return True  # a met start is never memoized: it costs no search
-    if space.hopeless(start):
-        return _remember(cache, start, False)
-
-    frames: list[tuple[tuple[int, ...], Iterator[tuple[int, ...]]]] = [
-        (start, space.successors(start))
-    ]
-    while frames:
-        state, succ = frames[-1]
-        for nxt in succ:
-            verdict = cache.get(nxt)
-            if verdict is None:
-                if space.dominates(nxt):
-                    verdict = _remember(cache, nxt, True)
-                elif space.hopeless(nxt):
-                    verdict = _remember(cache, nxt, False)
-                else:
-                    frames.append((nxt, space.successors(nxt)))
-                    break
-            if verdict:
-                # the whole stack is a chain of moves reaching a met demand
-                for s, _ in frames:
-                    _remember(cache, s, True)
-                return True
-        else:
-            _remember(cache, state, False)
-            frames.pop()
-    return False
+    return solve
 
 
 def brute_solvable(
@@ -146,16 +133,14 @@ def brute_solvable(
 ) -> bool:
     """Exhaustive reachability check: can some move sequence meet the demand?
 
-    ``prune=False`` disables the necessary-condition filters and explores
-    the raw move space (useful for equivalence testing; the verdict is
-    identical either way).
+    ``prune=False`` explores the raw move space without the necessary-condition
+    filters, for equivalence testing; the verdict is the same either way.
     """
     if tree.n > MAX_VERTICES:
         raise BudgetExceededError(f"tree has {tree.n} vertices, oracle bound is {MAX_VERTICES}")
     if dist.size > max_pebbles:
         raise BudgetExceededError(f"{dist.size} pebbles exceed oracle bound {max_pebbles}")
-    space = _SearchSpace(tree, weights, prune=prune)
-    return _search(space, tuple(dist.row(tree)), {})
+    return _solver(tree, weights, prune)(tuple(dist.row(tree)))
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -222,12 +207,10 @@ def verify_gamma(
     started = time.perf_counter()
     if tree.n > MAX_VERTICES:
         raise BudgetExceededError(f"tree has {tree.n} vertices, oracle bound is {MAX_VERTICES}")
-
-    space = _SearchSpace(tree, weights)
-    cache: dict[tuple[int, ...], bool] = {}
+    solve = _solver(tree, weights)
     checked_count = 0
 
-    def first_unsolvable(size: int, positions: Sequence[int]) -> tuple[int, ...] | None:
+    def first_unsolvable(size: int, positions: list[int]) -> tuple[int, ...] | None:
         nonlocal checked_count
         count = _composition_count(size, len(positions))
         if count > ENUM_LIMIT:
@@ -241,35 +224,29 @@ def verify_gamma(
                 state[pos] = c
             frozen = tuple(state)
             checked_count += 1
-            if not _search(space, frozen, cache):
+            if not solve(frozen):
                 return frozen
         return None
 
-    leaf_positions = [tree.index[name] for name in tree.leaves()]
     all_positions = list(range(tree.n))
+    positions = leaf_positions = [tree.index[name] for name in tree.leaves()]
     witness_state: tuple[int, ...] | None = None
     k = 0
     confirmation = "full"
-    # a zero demand is met by the empty distribution: no size is scanned
+    # a zero demand scans no size; a failed confirmation resumes the leaf scan
     while weights.support:
-        # scan leaf supports upward until a size has no unsolvable distribution
-        while True:
-            if k > max_pebbles:
-                raise BudgetExceededError(f"size scan passed max_pebbles={max_pebbles}")
-            bad = first_unsolvable(k, leaf_positions)
-            if bad is None:
-                break
-            witness_state = bad
-            k += 1
-        # re-confirm over every support when the enumeration is affordable
-        if _composition_count(k, tree.n) > FULL_CONFIRM_LIMIT:
+        if k > max_pebbles:
+            raise BudgetExceededError(f"size scan passed max_pebbles={max_pebbles}")
+        bad = first_unsolvable(k, positions)
+        if bad is not None:
+            witness_state, k, positions = bad, k + 1, leaf_positions
+        elif positions is all_positions:
+            break
+        elif _composition_count(k, tree.n) > FULL_CONFIRM_LIMIT:
             confirmation = "leaves"
             break
-        bad = first_unsolvable(k, all_positions)
-        if bad is None:
-            break
-        witness_state = bad
-        k += 1
+        else:
+            positions = all_positions
 
     witness = None if witness_state is None else Distribution.from_row(tree, witness_state)
     formula = cover_pebbling_number(tree, weights).gamma
@@ -304,8 +281,7 @@ def random_tree(n: int, seed: int) -> Tree:
     degree = [1] * n
     for x in sequence:
         degree[x] += 1
-    leaves = [i for i in range(n) if degree[i] == 1]
-    heapq.heapify(leaves)
+    leaves = [i for i in range(n) if degree[i] == 1]  # ascending, so already a heap
     edges: list[tuple[str, str]] = []
     for x in sequence:
         leaf = heapq.heappop(leaves)

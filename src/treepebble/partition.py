@@ -10,7 +10,6 @@ maximum one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Sequence
 
 from .checked import checked, pow2
@@ -85,20 +84,6 @@ def _require_nonincreasing(seq: Sequence[int], label: str) -> None:
     for a, b in zip(seq, seq[1:]):
         if a < b:
             raise ValueError(f"{label} size sequence is not nonincreasing: {tuple(seq)}")
-
-
-def majorize_cmp(x: Sequence[int], y: Sequence[int]) -> int:
-    """Compare nonincreasing size sequences; 1 when ``x`` majorizes ``y``.
-
-    The shorter sequence is padded with trailing zeros, then the sequences
-    are compared at the first differing index. Returns -1, 0 or 1.
-    """
-    _require_nonincreasing(x, "left")
-    _require_nonincreasing(y, "right")
-    for a, b in zip_longest(x, y, fillvalue=0):
-        if a != b:
-            return 1 if a > b else -1
-    return 0
 
 
 def partition_score(sizes: Sequence[int], t: int) -> int:

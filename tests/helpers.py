@@ -23,6 +23,7 @@ from treepebble import (
 )
 from treepebble.checked import checked, pow2
 from treepebble.oracle import ENUM_LIMIT, _composition_count, _compositions
+from treepebble.partition import _require_nonincreasing
 
 
 def tree(text: str) -> Tree:
@@ -180,6 +181,20 @@ def greedy_partition(forest, rng: random.Random | None = None) -> PathPartition:
             del out[name]
         paths.append(path)
     return PathPartition(tuple(paths), tuple(len(p) - 1 for p in paths))
+
+
+def majorize_cmp(x: Sequence[int], y: Sequence[int]) -> int:
+    """Compare nonincreasing size sequences; 1 when ``x`` majorizes ``y``.
+
+    The shorter sequence is padded with trailing zeros, then the sequences
+    are compared at the first differing index. Returns -1, 0 or 1.
+    """
+    _require_nonincreasing(x, "left")
+    _require_nonincreasing(y, "right")
+    for a, b in itertools.zip_longest(x, y, fillvalue=0):
+        if a != b:
+            return 1 if a > b else -1
+    return 0
 
 
 def reference_s_omega(t: Tree, weights: WeightFunction, v: str) -> tuple[int, PathPartition]:

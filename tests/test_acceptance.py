@@ -20,7 +20,6 @@ from treepebble import (
     extremal_distribution,
     hat_c,
     is_solvable,
-    majorize_cmp,
     max_path_partition,
     random_tree,
     simulate,
@@ -32,6 +31,7 @@ from treepebble.cli import run as cli_run
 from helpers import (
     all_shapes,
     fold_hat_random_order,
+    majorize_cmp,
     random_distribution,
     random_path_partition,
     random_weights,

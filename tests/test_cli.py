@@ -239,6 +239,22 @@ class TestGenTreeCommand:
         assert parse_tree(out).names == ("v1",)
 
 
+@pytest.mark.parametrize(
+    "argv,usage,option",
+    [
+        (["--help"], "usage: treepebble ", "verify"),
+        (["cover", "--help"], "usage: treepebble cover ", "--weights"),
+    ],
+    ids=["top-level", "subcommand"],
+)
+def test_help_goes_to_the_given_stream(argv, usage, option, capsys):
+    code, out, err = invoke(*argv)
+    assert code == 0
+    assert out.startswith(usage) and option in out
+    assert err == ""
+    assert capsys.readouterr() == ("", "")
+
+
 class TestErrorChannel:
     def test_unknown_flag_is_usage_error(self, path3):
         code, _, err = invoke("partition", "--tree", path3, "--root", "a", "--bogus")

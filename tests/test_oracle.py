@@ -10,13 +10,22 @@ from treepebble import (
     BudgetExceededError,
     Distribution,
     Tree,
+    UnknownVertexError,
     WeightFunction,
     brute_solvable,
     cover_pebbling_number,
+    oracle,
     random_tree,
     verify_gamma,
 )
-from helpers import enumerate_distributions, random_distribution, random_weights, tree
+from helpers import (
+    all_shapes,
+    enumerate_distributions,
+    random_distribution,
+    random_weights,
+    tree,
+    weight_functions,
+)
 
 
 class TestBruteSolvable:
@@ -44,6 +53,43 @@ class TestBruteSolvable:
     def test_pebble_bound_enforced(self):
         with pytest.raises(BudgetExceededError, match="pebbles"):
             brute_solvable(tree("a b"), Distribution({"a": 25}), WeightFunction({}))
+
+    def test_error_order(self):
+        # vertex bound, then pebble bound, then demand names, then pebble names
+        path = tree("v0 v1;v1 v2;v2 v3")
+        many = Distribution({"zz": 30})
+        unknown_demand = WeightFunction({"yy": 1})
+        with pytest.raises(BudgetExceededError, match="^tree has 9 vertices, oracle bound is 8$"):
+            brute_solvable(random_tree(9, 1), many, unknown_demand)
+        with pytest.raises(BudgetExceededError, match="^30 pebbles exceed oracle bound 24$"):
+            brute_solvable(path, many, unknown_demand)
+        with pytest.raises(UnknownVertexError, match="'yy'"):
+            brute_solvable(path, Distribution({"zz": 3}), unknown_demand)
+        with pytest.raises(UnknownVertexError, match="'zz'"):
+            brute_solvable(path, Distribution({"zz": 3}), WeightFunction({"v1": 1}))
+
+
+class TestBudgets:
+    # the limits are module constants, read at call time
+    PATH = "v0 v1;v1 v2;v2 v3"
+
+    def test_memo_limit_in_brute_solvable(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MEMO_LIMIT", 5)
+        with pytest.raises(BudgetExceededError, match="^solvability memo exceeded 5 states$"):
+            brute_solvable(tree(self.PATH), Distribution({"v0": 8}), WeightFunction({"v3": 1}))
+
+    def test_memo_limit_in_verify_gamma(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MEMO_LIMIT", 5)
+        with pytest.raises(BudgetExceededError, match="^solvability memo exceeded 5 states$"):
+            verify_gamma(tree(self.PATH), WeightFunction({"v3": 1}))
+
+    def test_enumeration_limit(self, monkeypatch):
+        # two leaves: sizes 0-2 have 1-3 distributions, size 3 has 4
+        monkeypatch.setattr(oracle, "ENUM_LIMIT", 3)
+        with pytest.raises(
+            BudgetExceededError, match="^4 distributions of size 3 exceed enumeration limit 3$"
+        ):
+            verify_gamma(tree(self.PATH), WeightFunction({"v3": 1}))
 
 
 class TestEnumerateDistributions:
@@ -118,6 +164,19 @@ class TestVerifyGamma:
         assert report.status == "PASS"
         assert report.oracle_gamma == 66
         assert report.confirmation == "leaves"
+
+    def test_scan_order_on_all_small_trees(self):
+        # distributions_checked counts the scan's steps, so this pins its order
+        reports = [
+            verify_gamma(t, w)
+            for t in all_shapes(4)
+            for w in weight_functions(t, max_entry=2, max_total=4)
+        ]
+        assert len(reports) == 130
+        assert sum(r.distributions_checked for r in reports) == 83_040
+        for r in reports:
+            assert r.confirmation == "full"
+            assert r.unsolvable_witness.size == r.oracle_gamma - 1
 
     def test_scan_ceiling_enforced(self):
         p6 = tree("a b;b c;c d;d e;e f")

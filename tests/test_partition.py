@@ -8,12 +8,11 @@ from treepebble import (
     DirectedForest,
     OverflowLimitError,
     Tree,
-    majorize_cmp,
     max_path_partition,
     partition_score,
     random_tree,
 )
-from helpers import all_shapes, greedy_partition, random_path_partition, tree
+from helpers import all_shapes, greedy_partition, majorize_cmp, random_path_partition, tree
 
 
 class TestMaxPathPartition:
