@@ -118,9 +118,10 @@ def _all_scores(tree: Tree, weights: WeightFunction) -> list[int | None]:
     Rooted at the name-smallest support vertex, the Steiner tree S of the
     support is the set of vertices whose subtree holds support. A score is
     D(v) + R(v): D(v) sums omega(u) * 2^d(u, v), folded bottom-up as W(x) =
-    omega(x) + 2 * (sum of W over x's children) and rerooted top-down by
-    D(c) = 2 * D(p) - 3 * W(c). R(v) sums 2^height(x) over the vertices x
-    outside S: constant on S, and R(x) = R(parent) - 2^height(x) off it.
+    omega(x) + 2 * (sum of W over x's children) and rerooted top-down, in
+    place, by D(c) = 2 * D(p) - 3 * W(c). R(v) sums 2^height(x) over the
+    vertices x outside S: constant on S, and R(x) = R(parent) - 2^height(x)
+    off it.
 
     None marks a root whose exact score is at least 2^63: it has a demand
     63 or more edges away (``reach`` and ``away`` track the farthest one),
@@ -149,19 +150,18 @@ def _all_scores(tree: Tree, weights: WeightFunction) -> list[int | None]:
                 second[p], reach[p] = reach[p], d
             elif d > second[p]:
                 second[p] = d
-    demand = fold[:]
     rest = [sum(1 << h for h, r in zip(height, reach) if r < 0 and h < 63)] * tree.n
     away = [-1] * tree.n  # farthest support outside the subtree
     for x in reversed(order[:-1]):  # pre-order: the parent is final
         p = parent[x]
-        demand[x] = (2 * demand[p] - 3 * fold[x]) & mask
+        fold[x] = (2 * fold[p] - 3 * fold[x]) & mask  # W(x) becomes D(x)
         if reach[x] < 0:
             rest[x] = rest[p] - (1 << height[x] if height[x] < 63 else 0)
         side = second[p] if reach[x] >= 0 and reach[x] + 1 == reach[p] else reach[p]
         away[x] = 1 + max(away[p], side)
     return [
         None if r >= 63 or a >= 63 or d + s > INT64_MAX else d + s
-        for d, s, r, a in zip(demand, rest, reach, away)
+        for d, s, r, a in zip(fold, rest, reach, away)
     ]
 
 

@@ -18,7 +18,7 @@ File formats (UTF-8, newline separated, full-line '#' comments):
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .checked import INT64_MAX
 from .errors import OverflowLimitError, TreeFormatError, UnknownVertexError
@@ -155,35 +155,23 @@ class Tree:
                 x = parent[x]
         return Tree([(self.names[x], self.names[parent[x]]) for x in keep if x != iv], (v,))
 
-    def orient_toward(self, sink: Union["Tree", Iterable[str]]) -> "DirectedForest":
+    def orient_toward(self, sink: Iterable[str]) -> "DirectedForest":
         """Direct every edge outside ``sink`` one step along its path into ``sink``.
 
-        ``sink`` may be a Tree (a subtree of this one) or a collection of
-        vertex names inducing a connected subtree.
+        ``sink`` holds vertex names inducing a connected subtree. They are
+        checked in name order, so the name-smallest unknown name raises.
         """
-        if isinstance(sink, Tree):
-            sink_names = set(sink.names)
-            edge_set = set(self.edges)
-            for name in sink.names:
-                self._require(name)
-            for e in sink.edges:
-                if e not in edge_set:
-                    raise ValueError(f"sink edge {e[0]} {e[1]} is not an edge of the tree")
-        else:
-            sink_names = {name for name in sink}
-            if not sink_names:
-                raise ValueError("sink must contain at least one vertex")
-            for name in sink_names:
-                self._require(name)
-
-        idxs = {self.index[s] for s in sink_names}
+        sink_names = sorted(set(sink))
+        if not sink_names:
+            raise ValueError("sink must contain at least one vertex")
+        idxs = {self._require(name) for name in sink_names}
         # rooted inside the sink, every other sink vertex must hang from one,
         # and every vertex outside steps toward the sink through its parent
         order, parent, _ = self._rooting(min(idxs))
         if any(parent[i] >= 0 and parent[i] not in idxs for i in idxs):
             raise ValueError("sink is not connected inside the tree")
         arcs = [(self.names[x], self.names[parent[x]]) for x in order if x not in idxs]
-        return DirectedForest(self, arcs, sorted(sink_names))
+        return DirectedForest(self, arcs, sink_names)
 
     # -- dunder --------------------------------------------------------
 
@@ -374,12 +362,9 @@ def serialize_tree(tree: Tree) -> str:
     return _edge_list(tree.edges, tree.names)
 
 
-def _edge_list(edges: Sequence[tuple[str, str]], names: Iterable[str]) -> str:
-    """One ``u v`` line per edge, then a line per name on no edge."""
-    lines = [f"{u} {v}" for u, v in edges]
-    connected = {x for e in edges for x in e}
-    lines.extend(name for name in names if name not in connected)
-    return "\n".join(lines) + "\n"
+def _edge_list(edges: Sequence[tuple[str, str]], names: Sequence[str]) -> str:
+    """One ``u v`` line per edge; a tree with no edge is its one name."""
+    return "\n".join([f"{u} {v}" for u, v in edges] or names) + "\n"
 
 
 def tree_id(tree: Tree) -> str:

@@ -204,7 +204,7 @@ def reference_s_omega(t: Tree, weights: WeightFunction, v: str) -> tuple[int, Pa
     package, so an overflow reports the same message.
     """
     dist = t.distances_from(v)
-    part = greedy_partition(t.orient_toward(t.minimal_subtree(v, weights.support)))
+    part = greedy_partition(t.orient_toward(t.minimal_subtree(v, weights.support).names))
     total = 0
     for u, k in weights.items():
         total = checked(total + checked(k * pow2(dist[u], "demand term"), "demand term"), "cover score")

@@ -404,6 +404,8 @@ GOLDEN_FILES = {
     "ab.moves": "a b\n",
     "zeros.map": "b " + "0" * 5000 + "8\n",
     "zeros-huge.map": "a " + "0" * 5000 + "9223372036854775808\n",
+    "comment.tree": "a #b\n",
+    "bare.map": "b\n",
 }
 
 GOLDEN = [
@@ -560,6 +562,15 @@ GOLDEN = [
     ('simulate --tree star.tree --dist zeros-huge.map --moves legal.moves', 3,
      '',
      "error: OVERFLOW: line 1: count for vertex 'a' exceeds the signed 64-bit range\n"),
+    ('cover --tree comment.tree --weights demand.map', 2,
+     '',
+     "error: FORMAT: vertex name '#b' starts with '#' (reserved for comments)\n"),
+    ('cover --tree star.tree --weights bare.map', 2,
+     '',
+     "error: FORMAT: line 1: expected 'vertex count'\n"),
+    ('gen-tree -n 0', 2,
+     '',
+     'error: VALUE: a tree needs at least one vertex\n'),
 ]
 
 

@@ -29,7 +29,7 @@ class TestMaxPathPartition:
 
     def test_empty_forest(self):
         t = tree("a b")
-        assert max_path_partition(t.orient_toward(t)).sizes == ()
+        assert max_path_partition(t.orient_toward(t.names)).sizes == ()
 
     def test_sizes_sum_to_arc_count(self):
         t = tree("a b;b c;c d;c e;b f;f g")
@@ -141,7 +141,7 @@ def test_matches_greedy_on_all_small_trees():
         for t in _relabelings(base, rng, 3):
             for root in t.names:
                 support = rng.sample(t.names, rng.randint(1, t.n))
-                for sink in ((root,), t.minimal_subtree(root, support)):
+                for sink in ((root,), t.minimal_subtree(root, support).names):
                     forest = t.orient_toward(sink)
                     assert max_path_partition(forest) == greedy_partition(forest)
                     checked += 1

@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treepebble
 from treepebble import (
     DirectedForest,
     Distribution,
@@ -47,6 +51,11 @@ class TestParseTree:
     def test_self_loop_rejected(self):
         with pytest.raises(TreeFormatError, match="self-loop"):
             parse_tree("a a")
+
+    def test_empty_name_rejected(self):
+        with pytest.raises(TreeFormatError) as info:
+            Tree([("", "a")])
+        assert str(info.value) == "vertex name must be a nonempty string, got ''"
 
     def test_too_many_tokens_rejected(self):
         with pytest.raises(TreeFormatError, match="tokens"):
@@ -143,7 +152,7 @@ class TestMinimalSubtree:
 class TestOrientToward:
     def test_star_partial_sink(self):
         star = tree("a b;b c;b d")
-        f = star.orient_toward(star.minimal_subtree("a", ["c"]))
+        f = star.orient_toward(star.minimal_subtree("a", ["c"]).names)
         assert f.arcs == (("d", "b"),)
 
     def test_path_to_endpoint(self):
@@ -152,13 +161,13 @@ class TestOrientToward:
 
     def test_whole_tree_sink_is_empty_forest(self):
         t = tree("a b;b c")
-        f = t.orient_toward(t)
+        f = t.orient_toward(t.names)
         assert f.arcs == ()
 
     def test_arc_count_matches_sink_complement(self):
         t = tree("a b;b c;c d;c e")
         sink = t.minimal_subtree("b", ["c"])
-        f = t.orient_toward(sink)
+        f = t.orient_toward(sink.names)
         assert len(f.arcs) == len(t.edges) - len(sink.edges)
 
     def test_disconnected_sink_rejected(self):
@@ -169,13 +178,26 @@ class TestOrientToward:
         with pytest.raises(ValueError):
             tree("a b").orient_toward(())
 
-    def test_foreign_subtree_rejected(self):
-        with pytest.raises(ValueError, match="not an edge"):
-            tree("a b;b c").orient_toward(tree("a c"))
-
     def test_unknown_sink_vertex(self):
         with pytest.raises(UnknownVertexError):
             tree("a b").orient_toward(("zz",))
+
+    def test_unknown_sink_vertices_checked_in_name_order(self):
+        # set order varies with the hash seed; the smallest unknown name must not
+        script = (
+            "from treepebble import UnknownVertexError, parse_tree\n"
+            "try:\n"
+            "    parse_tree('a b\\nb c').orient_toward(('zz', 'yy', 'xx'))\n"
+            "except UnknownVertexError as e:\n"
+            "    print(e)\n"
+        )
+        src = str(Path(treepebble.__file__).resolve().parent.parent)
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            assert run.stdout == "unknown vertex 'xx'\n", f"PYTHONHASHSEED={seed}"
 
 
 class TestDirectedForest:
@@ -217,6 +239,16 @@ class TestVertexValues:
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             Distribution({"a": -1})
+
+    def test_non_integer_demand_rejected(self):
+        with pytest.raises(ValueError) as info:
+            WeightFunction({"a": 1.5})
+        assert str(info.value) == "demand for 'a' must be an integer, got 1.5"
+
+    def test_bool_pebble_count_rejected(self):
+        with pytest.raises(ValueError) as info:
+            Distribution({"a": True})
+        assert str(info.value) == "pebble count for 'a' must be an integer, got True"
 
     def test_dominates(self):
         d = Distribution({"a": 2, "c": 1})
