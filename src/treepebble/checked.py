@@ -11,13 +11,13 @@ INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 
-def checked(value: int, what: str = "value") -> int:
+def checked(value: int, what: str) -> int:
     if value < INT64_MIN or value > INT64_MAX:
         raise OverflowLimitError(f"{what} {value} is outside the signed 64-bit range")
     return value
 
 
-def pow2(exponent: int, what: str = "power of two") -> int:
+def pow2(exponent: int, what: str) -> int:
     # 2^63 already exceeds INT64_MAX, so exponents stop at 62.
     if exponent >= 63:
         raise OverflowLimitError(f"{what}: 2^{exponent} overflows a signed 64-bit integer")

@@ -63,14 +63,9 @@ def _partition_toward(tree: Tree, v: str) -> PathPartition:
 
 def t_pebbling_global(tree: Tree, k: int = 1) -> tuple[int, str]:
     """Worst-case target: max of ``t_pebbling_number`` with its argmax vertex."""
-    best_value = -1
-    best_root = tree.names[0]
-    for name in tree.names:
-        value = t_pebbling_number(tree, name, k).value
-        if value > best_value:
-            best_value = value
-            best_root = name
-    return best_value, best_root
+    values = [t_pebbling_number(tree, name, k).value for name in tree.names]
+    best = max(values)
+    return best, tree.names[values.index(best)]
 
 
 def _root_terms(tree: Tree, weights: WeightFunction, v: str) -> tuple[int, list[list[int]]]:

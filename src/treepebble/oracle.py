@@ -18,6 +18,7 @@ import random
 import time
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 from typing import Callable, Iterator
 
 from .cover import cover_pebbling_number
@@ -38,22 +39,25 @@ def _solver(
 ) -> Callable[[tuple[int, ...]], bool]:
     """``solve(state)``: can some move sequence from ``state`` meet the demand?
 
-    All calls share one memo, capped at ``MEMO_LIMIT`` states. ``prune=False``
-    gives the filters no data (pebble floor 0, no rows): the raw move space.
+    One rule prunes: a state is hopeless when some weighted pebble sum
+    sum_x c_x * w_x is below the demand's own sum_x demand_x * w_x, for a
+    row w that changes by at most a factor 2 across every edge. A move
+    u -> v changes that sum by w_v - 2*w_u <= 0, so it never grows, and a
+    state meeting the demand holds at least the demand's sum. The rows are
+    all ones (the pebble total) and, per demanded j, 2^{-d(x, j)} scaled by
+    2^{max d} to stay in integers. ``prune=False`` gives the filter no rows:
+    the raw move space. All calls share one memo, capped at ``MEMO_LIMIT``
+    states.
     """
     n, adj = tree.n, tree._adj
     demand = tuple(weights.row(tree))
     support = tuple(i for i, d in enumerate(demand) if d)
-    floor = sum(demand) if prune else 0
-    # A move from u to an adjacent v changes sum_x c_x * 2^{-d(x,j)}
-    # by -2*2^{-d(u,j)} + 2^{-d(v,j)} <= 0, so that sum never grows;
-    # if it is already below demand(j), vertex j can never be met.
-    # Scaled by 2^{max d} to stay in integers.
     filters: list[tuple[tuple[int, ...], int]] = []
-    for j in support if prune else ():
-        drow = tree._rooting(j)[2]
+    # the all-zero distance row weighs every vertex 2^0 = 1
+    for drow in [[0] * n] + [tree._rooting(j)[2] for j in support] if prune else []:
         top = max(drow)
-        filters.append((tuple(1 << (top - d) for d in drow), demand[j] << top))
+        row = tuple(1 << (top - d) for d in drow)
+        filters.append((row, sum(map(mul, demand, row))))
     memo: dict[tuple[int, ...], bool] = {}
 
     def met(state: tuple[int, ...]) -> bool:
@@ -64,14 +68,8 @@ def _solver(
 
     def hopeless(state: tuple[int, ...]) -> bool:
         """True only when no move sequence from ``state`` can meet the demand."""
-        if sum(state) < floor:
-            return True
         for row, bound in filters:
-            acc = 0
-            for c, coefficient in zip(state, row):
-                if c:
-                    acc += c * coefficient
-            if acc < bound:
+            if sum(map(mul, state, row)) < bound:
                 return True
         return False
 
@@ -217,9 +215,8 @@ def verify_gamma(
             raise BudgetExceededError(
                 f"{count} distributions of size {size} exceed enumeration limit {ENUM_LIMIT}"
             )
-        base = [0] * tree.n
         for comp in _compositions(size, len(positions)):
-            state = list(base)
+            state = [0] * tree.n
             for pos, c in zip(positions, comp):
                 state[pos] = c
             frozen = tuple(state)

@@ -17,15 +17,10 @@ File formats (UTF-8, newline separated, full-line '#' comments):
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .checked import INT64_MAX
 from .errors import OverflowLimitError, TreeFormatError, UnknownVertexError
-
-# a vertex-map count: an optional minus sign (rejected with its own message)
-# and ASCII digits; int() alone would also take '+', '_' and non-ASCII digits
-_COUNT = re.compile(r"(-?)[0-9]+")
 
 
 def _check_name(name: str) -> str:
@@ -385,13 +380,15 @@ def parse_vertex_map(text: str, tree: Tree) -> dict[str, int]:
         tree._require(name)
         if name in values:
             raise TreeFormatError(f"line {lineno}: duplicate entry for vertex '{name}'")
-        match = _COUNT.fullmatch(raw)
-        if match is None:
+        # an optional minus sign (rejected with its own message), then ASCII
+        # digits: int() alone would also take '+', '_' and non-ASCII digits
+        digits = raw.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
             raise TreeFormatError(f"line {lineno}: '{raw}' is not a decimal integer")
-        if match.group(1):
+        if digits != raw:
             raise TreeFormatError(f"line {lineno}: negative count for vertex '{name}'")
         # the length test keeps int() off strings it would refuse or crawl through
-        digits = raw.lstrip("0") or "0"
+        digits = digits.lstrip("0") or "0"
         if len(digits) > len(str(INT64_MAX)) or int(digits) > INT64_MAX:
             raise OverflowLimitError(
                 f"line {lineno}: count for vertex '{name}' exceeds the signed 64-bit range"

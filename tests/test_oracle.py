@@ -83,6 +83,14 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError, match="^solvability memo exceeded 5 states$"):
             verify_gamma(tree(self.PATH), WeightFunction({"v3": 1}))
 
+    def test_start_cut_by_the_demand_weighted_sum(self, monkeypatch):
+        # row a weighs a, b, c, d as 4, 2, 1, 1: the start holds 4, and meeting
+        # the demand needs at least 4 + 1, so the start is cut before any move
+        monkeypatch.setattr(oracle, "MEMO_LIMIT", 1)
+        assert not brute_solvable(
+            tree("a b;b c;b d"), Distribution({"d": 4}), WeightFunction({"a": 1, "c": 1})
+        )
+
     def test_enumeration_limit(self, monkeypatch):
         # two leaves: sizes 0-2 have 1-3 distributions, size 3 has 4
         monkeypatch.setattr(oracle, "ENUM_LIMIT", 3)
