@@ -9,12 +9,19 @@ path partitions or score formulas; the only shortcuts are necessary
 conditions derived directly from the move definition, plus the leaf-support
 restriction for witness hunting (a maximum-size unsolvable distribution
 always exists with all pebbles on leaves).
+
+Each search state is one int: a count field per vertex, a met field per
+demanded vertex and a filter field per weighted sum, each biased so that
+one bit says whether it reaches its threshold. The widths come from the
+caller's pebble bound, so every field stays in range, a move is one add
+and each test is one mask.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+import sys
 import time
 from dataclasses import dataclass
 from math import comb
@@ -35,9 +42,9 @@ FULL_CONFIRM_LIMIT = 10_000
 
 
 def _solver(
-    tree: Tree, weights: WeightFunction, prune: bool = True
-) -> Callable[[tuple[int, ...]], bool]:
-    """``solve(state)``: can some move sequence from ``state`` meet the demand?
+    tree: Tree, weights: WeightFunction, prune: bool, size: int
+) -> tuple[Callable[[int], bool], int, list[int], Callable[[int], list[int]]]:
+    """``solve(x)``: can some move sequence from packed state ``x`` meet the demand?
 
     One rule prunes: a state is hopeless when some weighted pebble sum
     sum_x c_x * w_x is below the demand's own sum_x demand_x * w_x, for a
@@ -48,65 +55,74 @@ def _solver(
     2^{max d} to stay in integers. ``prune=False`` gives the filter no rows:
     the raw move space. All calls share one memo, capped at ``MEMO_LIMIT``
     states.
+
+    A state of at most ``size`` pebbles is one int of fields. Each field is
+    a sum v = sum_x c_x * r_x held against a threshold t and stored as
+    v - t + H, with H a power of two above every v, so bit H is set iff
+    v >= t. A count field per vertex (t = 2: it may move), a met field per
+    demanded vertex (t = its demand) and a filter field per row (t = the
+    demand's sum). Every v stays in [0, H) and t is clamped to at most
+    max v + 1 <= H, which changes no test, so each field stays in [0, 2H):
+    a move is one add that never carries across fields, "met" is one mask
+    with every met bit set and "hopeless" one mask with a filter bit clear.
+    Returns ``solve``, the packed empty distribution, the packed pebble of
+    each vertex, and the decoder of a state's counts.
     """
     n, adj = tree.n, tree._adj
-    demand = tuple(weights.row(tree))
-    support = tuple(i for i, d in enumerate(demand) if d)
-    filters: list[tuple[tuple[int, ...], int]] = []
+    demand = weights.row(tree)
+    support = [j for j, d in enumerate(demand) if d]
+    eye = [[int(x == i) for x in range(n)] for i in range(n)]
+    fields = [(row, 2) for row in eye] + [(eye[j], demand[j]) for j in support]
     # the all-zero distance row weighs every vertex 2^0 = 1
     for drow in [[0] * n] + [tree._rooting(j)[2] for j in support] if prune else []:
         top = max(drow)
-        row = tuple(1 << (top - d) for d in drow)
-        filters.append((row, sum(map(mul, demand, row))))
-    memo: dict[tuple[int, ...], bool] = {}
+        row = [1 << (top - d) for d in drow]
+        fields.append((row, sum(map(mul, demand, row))))
+    zero, unit, bits, layout, shift = 0, [0] * n, [], [], 0
+    for row, floor in fields:
+        top = size * max(row)  # the field's largest sum
+        width = top.bit_length() + 1
+        high = 1 << (width - 1)
+        bias = high - min(floor, top + 1)
+        zero += bias << shift
+        unit = [u + (r << shift) for u, r in zip(unit, row)]
+        bits.append(high << shift)
+        layout.append((shift, 2 * high - 1, bias))
+        # an int hashes as x mod 2^61 - 1, so fields 61 bits apart would
+        # hash as their sum: no field is a multiple of 61 bits wide
+        shift += width + (width % sys.hash_info.modulus.bit_length() == 0)
+    met, cut = sum(bits[n : n + len(support)]), sum(bits[n + len(support) :])
+    steps = [(bits[u], unit[v] - 2 * unit[u]) for u in range(n) for v in adj[u]]
+    memo: dict[int, bool] = {}
 
-    def met(state: tuple[int, ...]) -> bool:
-        for j in support:
-            if state[j] < demand[j]:
-                return False
-        return True
-
-    def hopeless(state: tuple[int, ...]) -> bool:
-        """True only when no move sequence from ``state`` can meet the demand."""
-        for row, bound in filters:
-            if sum(map(mul, state, row)) < bound:
-                return True
-        return False
-
-    def moves(state: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        for u in range(n):
-            if state[u] >= 2:
-                for v in adj[u]:
-                    nxt = list(state)
-                    nxt[u] -= 2
-                    nxt[v] += 1
-                    yield tuple(nxt)
-
-    def remember(state: tuple[int, ...], verdict: bool) -> bool:
-        if state not in memo and len(memo) >= MEMO_LIMIT:
+    def remember(state: int, verdict: bool) -> bool:
+        if len(memo) >= MEMO_LIMIT:  # no state is written twice
             raise BudgetExceededError(f"solvability memo exceeded {MEMO_LIMIT} states")
         memo[state] = verdict
         return verdict
 
-    def solve(start: tuple[int, ...]) -> bool:
+    def solve(start: int) -> bool:
         if start in memo:
             return memo[start]
-        if met(start):
+        if start & met == met:
             return True  # a met start is never memoized: it costs no search
-        if hopeless(start):
+        if start & cut != cut:
             return remember(start, False)
-        frames: list[tuple[tuple[int, ...], Iterator[tuple[int, ...]]]] = [(start, moves(start))]
+        frames = [(start, iter(steps))]
         while frames:
             state, succ = frames[-1]
-            for nxt in succ:
+            for bit, step in succ:
+                if not state & bit:
+                    continue
+                nxt = state + step
                 verdict = memo.get(nxt)
                 if verdict is None:
-                    if met(nxt):
+                    if nxt & met == met:
                         verdict = remember(nxt, True)
-                    elif hopeless(nxt):
+                    elif nxt & cut != cut:
                         verdict = remember(nxt, False)
                     else:
-                        frames.append((nxt, moves(nxt)))
+                        frames.append((nxt, iter(steps)))
                         break
                 if verdict:
                     # the whole stack is a chain of moves reaching a met demand
@@ -118,7 +134,10 @@ def _solver(
                 frames.pop()
         return False
 
-    return solve
+    def row_of(state: int) -> list[int]:
+        return [((state >> s) & mask) - bias for s, mask, bias in layout[:n]]
+
+    return solve, zero, unit, row_of
 
 
 def brute_solvable(
@@ -138,21 +157,19 @@ def brute_solvable(
         raise BudgetExceededError(f"tree has {tree.n} vertices, oracle bound is {MAX_VERTICES}")
     if dist.size > max_pebbles:
         raise BudgetExceededError(f"{dist.size} pebbles exceed oracle bound {max_pebbles}")
-    return _solver(tree, weights, prune)(tuple(dist.row(tree)))
+    solve, zero, unit, _ = _solver(tree, weights, prune, dist.size)
+    return solve(zero + sum(map(mul, dist.row(tree), unit)))
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Weak compositions of ``total`` into ``parts``, first coordinate descending."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
+def _packed_compositions(total: int, units: list[int], base: int) -> Iterator[int]:
+    """``base`` plus sum_i c_i * units[i] over the weak compositions c of ``total``,
+    first coordinate descending. Every tree has a leaf, so ``units`` is never empty."""
+    head, *rest = units
+    if not rest:
+        yield base + total * head
         return
     for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+        yield from _packed_compositions(total - first, rest, base + first * head)
 
 
 def _composition_count(total: int, parts: int) -> int:
@@ -205,47 +222,43 @@ def verify_gamma(
     started = time.perf_counter()
     if tree.n > MAX_VERTICES:
         raise BudgetExceededError(f"tree has {tree.n} vertices, oracle bound is {MAX_VERTICES}")
-    solve = _solver(tree, weights)
+    # every scanned size is at most max_pebbles
+    solve, zero, all_units, row_of = _solver(tree, weights, True, max(max_pebbles, 0))
     checked_count = 0
 
-    def first_unsolvable(size: int, positions: list[int]) -> tuple[int, ...] | None:
+    def first_unsolvable(size: int, units: list[int]) -> int | None:
         nonlocal checked_count
-        count = _composition_count(size, len(positions))
+        count = _composition_count(size, len(units))
         if count > ENUM_LIMIT:
             raise BudgetExceededError(
                 f"{count} distributions of size {size} exceed enumeration limit {ENUM_LIMIT}"
             )
-        for comp in _compositions(size, len(positions)):
-            state = [0] * tree.n
-            for pos, c in zip(positions, comp):
-                state[pos] = c
-            frozen = tuple(state)
+        for state in _packed_compositions(size, units, zero):
             checked_count += 1
-            if not solve(frozen):
-                return frozen
+            if not solve(state):
+                return state
         return None
 
-    all_positions = list(range(tree.n))
-    positions = leaf_positions = [tree.index[name] for name in tree.leaves()]
-    witness_state: tuple[int, ...] | None = None
+    units = leaf_units = [all_units[tree.index[name]] for name in tree.leaves()]
+    witness_state: int | None = None
     k = 0
     confirmation = "full"
     # a zero demand scans no size; a failed confirmation resumes the leaf scan
     while weights.support:
         if k > max_pebbles:
             raise BudgetExceededError(f"size scan passed max_pebbles={max_pebbles}")
-        bad = first_unsolvable(k, positions)
+        bad = first_unsolvable(k, units)
         if bad is not None:
-            witness_state, k, positions = bad, k + 1, leaf_positions
-        elif positions is all_positions:
+            witness_state, k, units = bad, k + 1, leaf_units
+        elif units is all_units:
             break
         elif _composition_count(k, tree.n) > FULL_CONFIRM_LIMIT:
             confirmation = "leaves"
             break
         else:
-            positions = all_positions
+            units = all_units
 
-    witness = None if witness_state is None else Distribution.from_row(tree, witness_state)
+    witness = None if witness_state is None else Distribution.from_row(tree, row_of(witness_state))
     formula = cover_pebbling_number(tree, weights).gamma
     return VerificationReport(
         tree_id=tree_id(tree),

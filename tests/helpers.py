@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from operator import mul
+from typing import Callable, Iterator, Mapping, Sequence
 
 from treepebble import (
     BudgetExceededError,
@@ -19,10 +20,11 @@ from treepebble import (
     PathPartition,
     Tree,
     WeightFunction,
+    oracle,
     partition_score,
 )
 from treepebble.checked import checked, pow2
-from treepebble.oracle import ENUM_LIMIT, _composition_count, _compositions
+from treepebble.oracle import ENUM_LIMIT, _composition_count
 from treepebble.partition import _require_nonincreasing
 
 
@@ -271,6 +273,94 @@ def reduce_leaf(
     return smaller, GeneralizedDistribution(new_values)
 
 
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Weak compositions of ``total`` into ``parts``, first coordinate descending."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def reference_solver(
+    tree: Tree, weights: WeightFunction, prune: bool
+) -> Callable[[tuple[int, ...]], bool]:
+    """The oracle's search on tuple states, the reference for its packed ints.
+
+    ``solve(state)`` takes the counts indexed like ``tree.names``. It prunes
+    by the same rule as the oracle: a state is hopeless when the pebble
+    total, or per demanded j the sum weighted 2^{max d - d(x, j)}, is below
+    the demand's own sum under the same weights. It makes the same memo
+    writes in the same order, under the same ``MEMO_LIMIT``.
+    """
+    n, adj = tree.n, tree._adj
+    demand = tuple(weights.row(tree))
+    support = tuple(i for i, d in enumerate(demand) if d)
+    filters: list[tuple[tuple[int, ...], int]] = []
+    for drow in [[0] * n] + [tree._rooting(j)[2] for j in support] if prune else []:
+        top = max(drow)
+        row = tuple(1 << (top - d) for d in drow)
+        filters.append((row, sum(map(mul, demand, row))))
+    memo: dict[tuple[int, ...], bool] = {}
+
+    def met(state: tuple[int, ...]) -> bool:
+        return all(state[j] >= demand[j] for j in support)
+
+    def hopeless(state: tuple[int, ...]) -> bool:
+        return any(sum(map(mul, state, row)) < bound for row, bound in filters)
+
+    def moves(state: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        for u in range(n):
+            if state[u] >= 2:
+                for v in adj[u]:
+                    nxt = list(state)
+                    nxt[u] -= 2
+                    nxt[v] += 1
+                    yield tuple(nxt)
+
+    def remember(state: tuple[int, ...], verdict: bool) -> bool:
+        if state not in memo and len(memo) >= oracle.MEMO_LIMIT:
+            raise BudgetExceededError(f"solvability memo exceeded {oracle.MEMO_LIMIT} states")
+        memo[state] = verdict
+        return verdict
+
+    def solve(start: tuple[int, ...]) -> bool:
+        if start in memo:
+            return memo[start]
+        if met(start):
+            return True
+        if hopeless(start):
+            return remember(start, False)
+        frames = [(start, moves(start))]
+        while frames:
+            state, succ = frames[-1]
+            for nxt in succ:
+                verdict = memo.get(nxt)
+                if verdict is None:
+                    if met(nxt):
+                        verdict = remember(nxt, True)
+                    elif hopeless(nxt):
+                        verdict = remember(nxt, False)
+                    else:
+                        frames.append((nxt, moves(nxt)))
+                        break
+                if verdict:
+                    for s, _ in frames:
+                        remember(s, True)
+                    return True
+            else:
+                remember(state, False)
+                frames.pop()
+        return False
+
+    return solve
+
+
 def enumerate_distributions(
     tree: Tree,
     size: int,
@@ -298,7 +388,7 @@ def enumerate_distributions(
         )
 
     def generate() -> Iterator[Distribution]:
-        for comp in _compositions(size, len(names)):
+        for comp in compositions(size, len(names)):
             yield Distribution({name: c for name, c in zip(names, comp) if c})
 
     return generate()

@@ -547,6 +547,21 @@ GOLDEN = [
     ('verify --tree star.tree --weights demand.map --max-pebbles 3', 4,
      '',
      'error: BUDGET: size scan passed max_pebbles=3\n'),
+    ('verify --tree star.tree --weights demand.map --max-pebbles -1', 4,
+     '',
+     'error: BUDGET: size scan passed max_pebbles=-1\n'),
+    ('verify --tree star.tree --weights demand.map --max-pebbles 0', 4,
+     '',
+     'error: BUDGET: size scan passed max_pebbles=0\n'),
+    ('verify --tree star.tree --weights demand.map --max-pebbles 7', 4,
+     '',
+     'error: BUDGET: size scan passed max_pebbles=7\n'),
+    ('verify --tree star.tree --weights demand.map --max-pebbles 8', 0,
+     'status PASS\nformula_gamma 8\noracle_gamma 8\nconfirmation full\ndistributions_checked 282\ntree a b;b c;b d\nomega a 1;c 1\nwitness d 7\n',
+     ''),
+    ('verify --tree star.tree --weights demand.map --max-pebbles 1000000000000000000', 0,
+     'status PASS\nformula_gamma 8\noracle_gamma 8\nconfirmation full\ndistributions_checked 282\ntree a b;b c;b d\nomega a 1;c 1\nwitness d 7\n',
+     ''),
     ('simulate --tree star.tree --dist full.map --moves ab.moves', 3,
      '',
      "error: OVERFLOW: move 0 would put more than 9223372036854775807 pebbles on 'b'\n"),

@@ -23,6 +23,7 @@ from helpers import (
     enumerate_distributions,
     random_distribution,
     random_weights,
+    reference_solver,
     tree,
     weight_functions,
 )
@@ -53,6 +54,13 @@ class TestBruteSolvable:
     def test_pebble_bound_enforced(self):
         with pytest.raises(BudgetExceededError, match="pebbles"):
             brute_solvable(tree("a b"), Distribution({"a": 25}), WeightFunction({}))
+
+    def test_pebble_bound_far_above_the_start(self):
+        # 2^6 pebbles cross the six edges of a path; one fewer cannot
+        path = tree("a b;b c;c d;d e;e f;f g")
+        end = WeightFunction({"g": 1})
+        assert brute_solvable(path, Distribution({"a": 64}), end, max_pebbles=10**18)
+        assert not brute_solvable(path, Distribution({"a": 63}), end, max_pebbles=10**18)
 
     def test_error_order(self):
         # vertex bound, then pebble bound, then demand names, then pebble names
@@ -225,6 +233,43 @@ def test_leaf_restriction_is_complete(doc, wmap):
     full = _max_unsolvable_size(t, w, ceiling)
     leaf_only = _max_unsolvable_size(t, w, ceiling, support=t.leaves())
     assert leaf_only == full
+
+
+def test_packed_solver_matches_reference():
+    # the packed fields are sized by the start's pebble count, so starts at
+    # that count on one vertex and weights far above it are the edge cases
+    rng = random.Random(20261019)
+    checked = 0
+    for _ in range(500):
+        t = random_tree(rng.randint(1, 7), rng.randrange(2**32))
+        demanded = rng.sample(t.names, min(t.n, rng.randint(1, 4)))
+        w = WeightFunction({v: rng.choice((1, 1, 2, 3, 2**40, 2**62)) for v in demanded})
+        bound = rng.randint(1, 12)
+        starts = (
+            Distribution({}),
+            random_distribution(t, rng.randrange(bound), rng),
+            Distribution({rng.choice(t.names): bound}),
+        )
+        for d in starts:
+            for prune in (True, False):
+                expected = reference_solver(t, w, prune)(tuple(d.row(t)))
+                got = brute_solvable(t, d, w, max_pebbles=bound, prune=prune)
+                assert got == expected, (t.edges, dict(d.items()), dict(w.items()), prune)
+                checked += 1
+    assert checked == 3000
+
+
+def test_packed_states_hash_apart_at_wide_fields():
+    # an int hashes as x mod 2^61 - 1: count fields 61 bits wide would hash
+    # a state as little more than its size, and the memo would probe chains
+    # of thousands; 10^18 and 2^120 pebbles make 61- and 122-bit fields
+    for seed in (1, 2, 3):
+        t = random_tree(7, seed)
+        w = WeightFunction({t.names[0]: 2, t.names[3]: 1})
+        for size in (512, 10**18, 2**120):
+            _, zero, unit, _ = oracle._solver(t, w, True, size)
+            states = list(oracle._packed_compositions(10, unit, zero))
+            assert len({hash(x) for x in states}) > len(states) // 2, (seed, size)
 
 
 @settings(max_examples=80, deadline=None)

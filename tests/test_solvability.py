@@ -26,10 +26,10 @@ from treepebble import (
     solve_witness,
 )
 from treepebble.checked import INT64_MAX, INT64_MIN
-from treepebble.oracle import _compositions
 from helpers import (
     GeneralizedDistribution,
     all_shapes,
+    compositions,
     fold_hat_random_order,
     random_distribution,
     random_weights,
@@ -428,7 +428,7 @@ def test_exhaustive_equivalence_on_tiny_trees():
     for t in all_shapes(4):
         for w in itertools.islice(weight_functions(t), 20):
             for size in range(7):
-                for comp in _compositions(size, t.n):
+                for comp in compositions(size, t.n):
                     d = Distribution({v: c for v, c in zip(t.names, comp) if c})
                     assert is_solvable(t, d, w).solvable == brute_solvable(t, d, w)
 
