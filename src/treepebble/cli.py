@@ -23,13 +23,7 @@ import json
 import sys
 from typing import IO, Callable, Mapping, NamedTuple, Sequence
 
-from .cover import (
-    _extremal_at,
-    _partition_toward,
-    cover_pebbling_number,
-    t_pebbling_global,
-    t_pebbling_number,
-)
+from .cover import _extremal_at, cover_pebbling_number, t_pebbling_global, t_pebbling_number
 from .errors import (
     BudgetExceededError,
     IllegalMoveError,
@@ -39,6 +33,7 @@ from .errors import (
     UnknownVertexError,
 )
 from .oracle import random_tree, verify_gamma
+from .partition import max_path_partition
 from .solvability import is_solvable, parse_moves, serialize_moves, simulate, solve_witness
 from .tree import _edge_list, parse_distribution, parse_tree, parse_weights
 
@@ -92,7 +87,7 @@ def _table(out: IO[str], header: str, names: Sequence[str], values: Mapping[str,
 
 
 def _partition(a) -> tuple[int, dict]:
-    part = _partition_toward(a.tree, a.root)
+    part = max_path_partition(a.tree.orient_toward((a.root,)))
     return EXIT_OK, {"root": a.root, "sizes": part.sizes, "paths": part.paths}
 
 

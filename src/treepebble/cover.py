@@ -1,15 +1,17 @@
 """Closed-form pebbling numbers of trees.
 
-``t_pebbling_number`` prices delivering k pebbles to a single vertex;
-``cover_pebbling_number`` prices meeting a whole nonnegative demand map at
-once, as the largest score over all roots. One root's score is read off the
-maximum path partition of its oriented remainder forest (``s_omega_at``,
-``t_pebbling_number`` and the extremal piles); ``cover_pebbling_number``
-gets every root's score in one rerooting pass over depths and subtree
-heights instead, since a partition path of size s is worth the 2^s - 1 that
-the 2^height of its non-sink vertices sum to. ``extremal_distribution``
-realizes the matching lower bound with an unsolvable distribution one
-pebble short.
+``t_pebbling_number`` prices delivering k pebbles to a single vertex: it
+scores ``max_path_partition(tree.orient_toward((v,)))``, the tree oriented
+toward ``v``. ``cover_pebbling_number`` prices meeting a whole nonnegative
+demand map at once, as the largest score over all roots. One root's score
+is read off the maximum path partition of its remainder forest, oriented
+toward the Steiner subtree of the root and the demand, on the index arrays
+of one rooting (``s_omega_at`` and the extremal piles);
+``cover_pebbling_number`` gets every root's score in one rerooting pass
+over depths and subtree heights instead, since a partition path of size s
+is worth the 2^s - 1 that the 2^height of its non-sink vertices sum to.
+``extremal_distribution`` realizes the matching lower bound with an
+unsolvable distribution one pebble short.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .checked import INT64_MAX, checked, pow2
-from .partition import PathPartition, long_paths, partition_score
+from .partition import PathPartition, long_paths, max_path_partition, partition_score
 from .tree import Distribution, Tree, WeightFunction
 
 
@@ -49,16 +51,10 @@ def t_pebbling_number(tree: Tree, v: str, k: int = 1) -> TPebblingResult:
     """
     if k < 1:
         raise ValueError("pebble target k must be at least 1")
-    part = _partition_toward(tree, v)
+    part = max_path_partition(tree.orient_toward((v,)))
     if not part.sizes:
         return TPebblingResult(checked(k, "partition score"), part)
     return TPebblingResult(partition_score(part.sizes, k), part)
-
-
-def _partition_toward(tree: Tree, v: str) -> PathPartition:
-    """Maximum path partition of ``tree`` with every edge oriented toward ``v``."""
-    order, parent, _ = tree._rooting(tree._require(v))
-    return PathPartition.from_long_paths(long_paths(parent, order), tree.names)
 
 
 def t_pebbling_global(tree: Tree, k: int = 1) -> tuple[int, str]:

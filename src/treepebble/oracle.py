@@ -42,7 +42,7 @@ FULL_CONFIRM_LIMIT = 10_000
 
 
 def _solver(
-    tree: Tree, weights: WeightFunction, prune: bool, size: int
+    tree: Tree, weights: WeightFunction, size: int
 ) -> tuple[Callable[[int], bool], int, list[int], Callable[[int], list[int]]]:
     """``solve(x)``: can some move sequence from packed state ``x`` meet the demand?
 
@@ -52,9 +52,8 @@ def _solver(
     u -> v changes that sum by w_v - 2*w_u <= 0, so it never grows, and a
     state meeting the demand holds at least the demand's sum. The rows are
     all ones (the pebble total) and, per demanded j, 2^{-d(x, j)} scaled by
-    2^{max d} to stay in integers. ``prune=False`` gives the filter no rows:
-    the raw move space. All calls share one memo, capped at ``MEMO_LIMIT``
-    states.
+    2^{max d} to stay in integers. All calls share one memo, capped at
+    ``MEMO_LIMIT`` states.
 
     A state of at most ``size`` pebbles is one int of fields. Each field is
     a sum v = sum_x c_x * r_x held against a threshold t and stored as
@@ -74,7 +73,7 @@ def _solver(
     eye = [[int(x == i) for x in range(n)] for i in range(n)]
     fields = [(row, 2) for row in eye] + [(eye[j], demand[j]) for j in support]
     # the all-zero distance row weighs every vertex 2^0 = 1
-    for drow in [[0] * n] + [tree._rooting(j)[2] for j in support] if prune else []:
+    for drow in [[0] * n] + [tree._rooting(j)[2] for j in support]:
         top = max(drow)
         row = [1 << (top - d) for d in drow]
         fields.append((row, sum(map(mul, demand, row))))
@@ -146,18 +145,17 @@ def brute_solvable(
     weights: WeightFunction,
     *,
     max_pebbles: int = DEFAULT_MAX_PEBBLES,
-    prune: bool = True,
 ) -> bool:
     """Exhaustive reachability check: can some move sequence meet the demand?
 
-    ``prune=False`` explores the raw move space without the necessary-condition
-    filters, for equivalence testing; the verdict is the same either way.
+    States that a weighted pebble sum proves hopeless are cut (see ``_solver``),
+    which never changes the verdict.
     """
     if tree.n > MAX_VERTICES:
         raise BudgetExceededError(f"tree has {tree.n} vertices, oracle bound is {MAX_VERTICES}")
     if dist.size > max_pebbles:
         raise BudgetExceededError(f"{dist.size} pebbles exceed oracle bound {max_pebbles}")
-    solve, zero, unit, _ = _solver(tree, weights, prune, dist.size)
+    solve, zero, unit, _ = _solver(tree, weights, dist.size)
     return solve(zero + sum(map(mul, dist.row(tree), unit)))
 
 
@@ -223,7 +221,7 @@ def verify_gamma(
     if tree.n > MAX_VERTICES:
         raise BudgetExceededError(f"tree has {tree.n} vertices, oracle bound is {MAX_VERTICES}")
     # every scanned size is at most max_pebbles
-    solve, zero, all_units, row_of = _solver(tree, weights, True, max(max_pebbles, 0))
+    solve, zero, all_units, row_of = _solver(tree, weights, max(max_pebbles, 0))
     checked_count = 0
 
     def first_unsolvable(size: int, units: list[int]) -> int | None:

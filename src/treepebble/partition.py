@@ -27,13 +27,6 @@ class PathPartition:
     paths: tuple[tuple[str, ...], ...]
     sizes: tuple[int, ...]
 
-    @classmethod
-    def from_long_paths(cls, paths: list[list[int]], names: Sequence[str]) -> "PathPartition":
-        """Name ``long_paths`` output, which is already ordered and valid."""
-        # list comprehensions: generator expressions cost ~2x on these short paths
-        named = tuple([tuple([names[i] for i in p]) for p in paths])
-        return cls(named, tuple([len(p) - 1 for p in paths]))
-
 
 def long_paths(out: Sequence[int], order: Sequence[int]) -> list[list[int]]:
     """Maximum path partition of the forest with arcs ``x -> out[x]``, on indices.
@@ -77,7 +70,11 @@ def max_path_partition(forest: DirectedForest) -> PathPartition:
     greedy longest-path extraction gives when it breaks ties to the
     lexicographically smallest vertex-name sequence.
     """
-    return PathPartition.from_long_paths(long_paths(forest._out, forest._order), forest.tree.names)
+    paths = long_paths(forest._out, forest._order)
+    names = forest.tree.names
+    # list comprehensions: generator expressions cost ~2x on these short paths
+    named = tuple([tuple([names[i] for i in p]) for p in paths])
+    return PathPartition(named, tuple([len(p) - 1 for p in paths]))
 
 
 def _require_nonincreasing(seq: Sequence[int], label: str) -> None:

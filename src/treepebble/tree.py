@@ -5,6 +5,8 @@ indices in sorted-name order, and every iteration order in this package is
 sorted-by-name, so all derived output is deterministic. Trees and the value
 maps defined on them are immutable after construction; every operation is a
 pure function of its inputs and safe to share across threads.
+``Tree.orient_toward`` builds the ``DirectedForest`` of a tree toward a sink
+subtree, the view that ``max_path_partition`` reads, from one rooting.
 
 File formats (UTF-8, newline separated, full-line '#' comments):
 
@@ -162,11 +164,12 @@ class Tree:
         idxs = {self._require(name) for name in sink_names}
         # rooted inside the sink, every other sink vertex must hang from one,
         # and every vertex outside steps toward the sink through its parent
-        order, parent, _ = self._rooting(min(idxs))
-        if any(parent[i] >= 0 and parent[i] not in idxs for i in idxs):
+        order, out, _ = self._rooting(min(idxs))
+        if any(out[i] >= 0 and out[i] not in idxs for i in idxs):
             raise ValueError("sink is not connected inside the tree")
-        arcs = [(self.names[x], self.names[parent[x]]) for x in order if x not in idxs]
-        return DirectedForest(self, arcs, sink_names)
+        for i in idxs:
+            out[i] = -1
+        return DirectedForest(self, tuple(sink_names), out, order)
 
     # -- dunder --------------------------------------------------------
 
@@ -185,46 +188,17 @@ class Tree:
 class DirectedForest:
     """Arcs of a host tree, each pointing one step toward a sink subtree.
 
-    No vertex has two outgoing arcs, no sink has one, and following arcs
-    from any vertex always ends inside ``sinks``. The arcs are kept as an
-    out-neighbour index array (-1: no arc) together with a topological
-    order that lists every vertex after all vertices whose arcs point to it.
+    ``Tree.orient_toward`` builds it from one rooting inside the sinks: the
+    arcs are the parent array with every sink set to -1 (no arc), and the
+    rooting's post-order lists every vertex after all vertices whose arcs
+    point to it.
     """
 
     __slots__ = ("tree", "sinks", "_out", "_order")
 
-    def __init__(self, tree: Tree, arcs: Iterable[tuple[str, str]], sinks: Iterable[str]):
+    def __init__(self, tree: Tree, sinks: tuple[str, ...], out: list[int], order: list[int]):
         self.tree = tree
-        self.sinks: tuple[str, ...] = tuple(sorted(sinks))
-        is_sink = [False] * tree.n
-        for name in self.sinks:
-            is_sink[tree._require(name)] = True
-        out = [-1] * tree.n
-        pending = [0] * tree.n  # arcs into each vertex not yet ordered
-        parent = tree._parent
-        for src, dst in sorted(arcs):
-            s, d = tree._require(src), tree._require(dst)
-            if parent[s] != d and parent[d] != s:
-                raise ValueError(f"arc {src}->{dst} is not over an edge of the host tree")
-            if out[s] >= 0:
-                raise ValueError(f"vertex '{src}' has two outgoing arcs")
-            if is_sink[s]:
-                raise ValueError(f"sink vertex '{src}' has an outgoing arc")
-            out[s] = d
-            pending[d] += 1
-        # Kahn's pass; a vertex on a directed cycle never runs out of pending arcs
-        order = [x for x in range(tree.n) if not pending[x]]
-        for x in order:  # grows while it is read
-            p = out[x]
-            if p >= 0:
-                pending[p] -= 1
-                if not pending[p]:
-                    order.append(p)
-        if len(order) < tree.n:
-            raise ValueError("arcs contain a directed cycle")
-        for p in out:
-            if p >= 0 and out[p] < 0 and not is_sink[p]:
-                raise ValueError(f"arc chain dead-ends at '{tree.names[p]}', outside the sinks")
+        self.sinks = sinks
         self._out = out
         self._order = order
 

@@ -251,9 +251,10 @@ def test_packed_solver_matches_reference():
             Distribution({rng.choice(t.names): bound}),
         )
         for d in starts:
+            got = brute_solvable(t, d, w, max_pebbles=bound)
+            # against the reference's pruned search and its raw move space
             for prune in (True, False):
                 expected = reference_solver(t, w, prune)(tuple(d.row(t)))
-                got = brute_solvable(t, d, w, max_pebbles=bound, prune=prune)
                 assert got == expected, (t.edges, dict(d.items()), dict(w.items()), prune)
                 checked += 1
     assert checked == 3000
@@ -267,7 +268,7 @@ def test_packed_states_hash_apart_at_wide_fields():
         t = random_tree(7, seed)
         w = WeightFunction({t.names[0]: 2, t.names[3]: 1})
         for size in (512, 10**18, 2**120):
-            _, zero, unit, _ = oracle._solver(t, w, True, size)
+            _, zero, unit, _ = oracle._solver(t, w, size)
             states = list(oracle._packed_compositions(10, unit, zero))
             assert len({hash(x) for x in states}) > len(states) // 2, (seed, size)
 
@@ -284,7 +285,7 @@ def test_prune_never_changes_the_verdict(n, seed, d_size, w_total):
     t = random_tree(n, seed)
     d = random_distribution(t, d_size, rng)
     w = random_weights(t, w_total, rng)
-    assert brute_solvable(t, d, w, prune=True) == brute_solvable(t, d, w, prune=False)
+    assert brute_solvable(t, d, w) == reference_solver(t, w, False)(tuple(d.row(t)))
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,17 +1,18 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treepebble import (
-    DirectedForest,
     OverflowLimitError,
     Tree,
     max_path_partition,
     partition_score,
     random_tree,
 )
+from treepebble.partition import long_paths
 from helpers import all_shapes, greedy_partition, majorize_cmp, random_path_partition, tree
 
 
@@ -149,9 +150,10 @@ def test_matches_greedy_on_all_small_trees():
 
 
 def test_matches_greedy_on_hand_built_forest():
-    # two sinks at the ends: d points away from the long chain f -> c -> b -> a
-    t = tree("a b;b c;c d;d e;c f")
-    forest = DirectedForest(t, [("b", "a"), ("c", "b"), ("d", "e"), ("f", "c")], ["a", "e"])
-    part = max_path_partition(forest)
-    assert part.paths == (("f", "c", "b", "a"), ("d", "e"))
-    assert part == greedy_partition(forest)
+    # two sinks, a and e, on a..f: d points away from the long chain f -> c -> b -> a
+    out = [-1, 0, 1, 4, -1, 2]
+    paths = long_paths(out, [3, 5, 2, 1, 0, 4])
+    assert paths == [[5, 2, 1, 0], [3, 4]]
+    named = tuple(tuple("abcdef"[i] for i in p) for p in paths)
+    arcs = tuple(("abcdef"[x], "abcdef"[p]) for x, p in enumerate(out) if p >= 0)
+    assert greedy_partition(SimpleNamespace(arcs=arcs)).paths == named

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import treepebble
 from treepebble import (
-    DirectedForest,
     Distribution,
     OverflowLimitError,
     Tree,
@@ -199,32 +198,27 @@ class TestOrientToward:
             )
             assert run.stdout == "unknown vertex 'xx'\n", f"PYTHONHASHSEED={seed}"
 
-
-class TestDirectedForest:
-    def test_two_outgoing_arcs_rejected(self):
-        t = tree("a b;a c")
-        with pytest.raises(ValueError, match="two outgoing"):
-            DirectedForest(t, [("a", "b"), ("a", "c")], ["b", "c"])
-
-    def test_non_edge_arc_rejected(self):
-        t = tree("a b;b c")
-        with pytest.raises(ValueError, match="not over an edge"):
-            DirectedForest(t, [("a", "c")], ["c"])
-
-    def test_chain_must_reach_sinks(self):
-        t = tree("a b;b c")
-        with pytest.raises(ValueError, match="dead-ends"):
-            DirectedForest(t, [("a", "b")], ["c"])
-
-    def test_directed_cycle_rejected(self):
-        t = tree("a b;b c")
-        with pytest.raises(ValueError, match="directed cycle"):
-            DirectedForest(t, [("a", "b"), ("b", "a")], ["c"])
-
-    def test_sink_with_outgoing_arc_rejected(self):
-        t = tree("a b;b c")
-        with pytest.raises(ValueError, match="sink vertex 'b' has an outgoing arc"):
-            DirectedForest(t, [("a", "b"), ("b", "c")], ["b", "c"])
+    def test_forest_invariants_on_all_small_trees(self):
+        # the sinks of test_matches_greedy_on_all_small_trees: the root alone,
+        # and the Steiner subtree of the root and a random support
+        rng = random.Random(2019)
+        for t in all_shapes(7):
+            for root in t.names:
+                support = rng.sample(t.names, rng.randint(1, t.n))
+                for sink in ((root,), t.minimal_subtree(root, support).names):
+                    f = t.orient_toward(sink)
+                    assert f.sinks == tuple(sorted(sink))
+                    rows = [t.distances_from(s) for s in sink]
+                    gap = {v: min(row[v] for row in rows) for v in t.names}
+                    # one arc out of each vertex outside the sink, none out of a sink
+                    assert sorted(src for src, _ in f.arcs) == [v for v in t.names if v not in sink]
+                    for src, dst in f.arcs:
+                        assert dst in t.neighbors(src) and gap[dst] == gap[src] - 1
+                    assert sorted(f._order) == list(range(t.n))
+                    position = {x: i for i, x in enumerate(f._order)}
+                    for src, dst in f.arcs:
+                        assert position[t.index[src]] < position[t.index[dst]]
+                    assert f.arc_count == t.n - len(sink)
 
 
 class TestVertexValues:
