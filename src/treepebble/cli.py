@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from typing import IO, Callable, Mapping, NamedTuple, Sequence
@@ -312,7 +313,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    # cached: building takes milliseconds, so in-process callers of ``run`` build it once
     # --help shows the docstring without its last paragraph, which is about the code
     parser = _Parser(prog="treepebble", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -11,11 +11,12 @@ that root, and replaying the folds produces an explicit move sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, NamedTuple, Sequence
 
 from .checked import INT64_MAX, checked
 from .errors import IllegalMoveError, NotSolvableError, OverflowLimitError, TreeFormatError
-from .tree import Distribution, Tree, WeightFunction, _token_lines
+from .tree import Distribution, Tree, WeightFunction, _token_runs
 
 
 class PebblingMove(NamedTuple):
@@ -133,37 +134,54 @@ def simulate(tree: Tree, dist: Distribution, moves: Iterable[PebblingMove]) -> D
 
     Raises IllegalMoveError (with the offending index) on a non-adjacent
     move or an underfunded source, OverflowLimitError on a count past 2^63 - 1.
+
+    Each run of k equal consecutive moves u->v is checked and applied in one
+    step: from counts c_u and c_v, exactly min(k, c_u // 2, 2^63 - 1 - c_v)
+    of them are legal, and the first illegal one raises what a move-by-move
+    replay would, the source check first.
     """
     counts = dist.row(tree)
     parent = tree._parent
     top = INT64_MAX
-    for i, (src, dst) in enumerate(moves):
+    i = 0  # index of the run's first move
+    for (src, dst), run in groupby(moves):
+        k = len(list(run))
         iu = tree._require(src)
         iv = tree._require(dst)
         if parent[iu] != iv and parent[iv] != iu:
             raise IllegalMoveError(i, f"'{src}' and '{dst}' are not adjacent")
-        if counts[iu] < 2:
-            raise IllegalMoveError(i, f"source '{src}' has {counts[iu]} pebbles")
-        if counts[iv] >= top:
+        legal = min(k, counts[iu] // 2, max(top - counts[iv], 0))
+        counts[iu] -= 2 * legal
+        counts[iv] += legal
+        if legal < k:
+            i += legal
+            if counts[iu] < 2:
+                raise IllegalMoveError(i, f"source '{src}' has {counts[iu]} pebbles")
             raise OverflowLimitError(f"move {i} would put more than {top} pebbles on '{dst}'")
-        counts[iu] -= 2
-        counts[iv] += 1
+        i += k
     return Distribution.from_row(tree, counts)
 
 
 def parse_moves(text: str, tree: Tree) -> list[PebblingMove]:
-    """Parse ``from to`` lines into moves over ``tree``'s vertices."""
+    """Parse ``from to`` lines into moves over ``tree``'s vertices.
+
+    A run of k equal consecutive lines is tokenized and checked once and
+    becomes k references to one move; a FORMAT error names the run's first line.
+    """
     moves: list[PebblingMove] = []
-    for lineno, tokens in _token_lines(text):
+    for lineno, tokens, k in _token_runs(text):
         if len(tokens) != 2:
             raise TreeFormatError(f"line {lineno}: expected 'from to'")
         src, dst = tokens
         tree._require(src)
         tree._require(dst)
-        moves.append(PebblingMove(src, dst))
+        moves += [PebblingMove(src, dst)] * k
     return moves
 
 
 def serialize_moves(moves: Sequence[PebblingMove]) -> str:
-    """Replayable ``from to`` document; empty for an empty move list."""
-    return "".join(f"{src} {dst}\n" for src, dst in moves)
+    """Replayable ``from to`` document, one line per move; empty for no moves.
+
+    Each run of equal consecutive moves is formatted once and repeated.
+    """
+    return "".join(f"{src} {dst}\n" * len(list(run)) for (src, dst), run in groupby(moves))

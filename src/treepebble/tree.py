@@ -19,6 +19,7 @@ File formats (UTF-8, newline separated, full-line '#' comments):
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .checked import INT64_MAX
@@ -50,8 +51,12 @@ class Tree:
         names: set[str] = set()
         seen: set[tuple[str, str]] = set()
         for u, v in edges:
-            _check_name(u)
-            _check_name(v)
+            # each name is checked on its first sighting: one already in ``names`` has
+            # passed, and a non-str one (maybe unhashable) goes straight to the check
+            if type(u) is not str or u not in names:
+                _check_name(u)
+            if type(v) is not str or v not in names:
+                _check_name(v)
             if u == v:
                 raise TreeFormatError(f"self-loop at vertex '{u}'")
             pair = (u, v) if u < v else (v, u)
@@ -297,12 +302,20 @@ class Distribution(_VertexValues):
 # -- document parsing and serialization ---------------------------------
 
 
-def _token_lines(text: str) -> Iterator[tuple[int, list[str]]]:
-    """``(line number, whitespace-split tokens)`` of each line that is not blank or a comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _token_runs(text: str) -> Iterator[tuple[int, list[str], int]]:
+    """``(first line number, whitespace-split tokens, run length)`` of each run of
+    equal consecutive lines that are not blank or a comment.
+
+    A run of k lines is split and tested once: the three document formats
+    read it as k equal lines, and a long move list is mostly such runs.
+    """
+    lineno = 1
+    for raw, run in groupby(text.splitlines()):
+        k = len(list(run))
         tokens = raw.split()
         if tokens and not tokens[0].startswith("#"):
-            yield lineno, tokens
+            yield lineno, tokens, k
+        lineno += k
 
 
 def parse_tree(text: str) -> Tree:
@@ -314,11 +327,11 @@ def parse_tree(text: str) -> Tree:
     """
     edges: list[tuple[str, str]] = []
     singles: list[str] = []
-    for lineno, tokens in _token_lines(text):
+    for lineno, tokens, k in _token_runs(text):
         if len(tokens) == 1:
-            singles.append(tokens[0])
+            singles += [tokens[0]] * k
         elif len(tokens) == 2:
-            edges.append((tokens[0], tokens[1]))
+            edges += [(tokens[0], tokens[1])] * k
         else:
             raise TreeFormatError(
                 f"line {lineno}: expected 'u v' or a bare vertex name, got {len(tokens)} tokens"
@@ -347,7 +360,7 @@ def parse_vertex_map(text: str, tree: Tree) -> dict[str, int]:
     A count is ASCII digits only; one above 2^63 - 1 raises OverflowLimitError.
     """
     values: dict[str, int] = {}
-    for lineno, tokens in _token_lines(text):
+    for lineno, tokens, k in _token_runs(text):
         if len(tokens) != 2:
             raise TreeFormatError(f"line {lineno}: expected 'vertex count'")
         name, raw = tokens
@@ -368,6 +381,8 @@ def parse_vertex_map(text: str, tree: Tree) -> dict[str, int]:
                 f"line {lineno}: count for vertex '{name}' exceeds the signed 64-bit range"
             )
         values[name] = int(digits)
+        if k > 1:  # the run's second line repeats this entry
+            raise TreeFormatError(f"line {lineno + 1}: duplicate entry for vertex '{name}'")
     return values
 
 

@@ -12,18 +12,20 @@ import itertools
 import random
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from treepebble import (
     BudgetExceededError,
     Distribution,
+    IllegalMoveError,
+    OverflowLimitError,
     PathPartition,
     Tree,
     WeightFunction,
     oracle,
     partition_score,
 )
-from treepebble.checked import checked, pow2
+from treepebble.checked import INT64_MAX, checked, pow2
 from treepebble.oracle import ENUM_LIMIT, _composition_count
 from treepebble.partition import _require_nonincreasing
 
@@ -183,6 +185,25 @@ def greedy_partition(forest, rng: random.Random | None = None) -> PathPartition:
             del out[name]
         paths.append(path)
     return PathPartition(tuple(paths), tuple(len(p) - 1 for p in paths))
+
+
+def simulate_each(tree: Tree, dist: Distribution, moves: Iterable[tuple[str, str]]) -> Distribution:
+    """Reference replay, one move at a time: ``simulate`` checks and applies a run at once."""
+    counts = dist.row(tree)
+    parent = tree._parent
+    top = INT64_MAX
+    for i, (src, dst) in enumerate(moves):
+        iu = tree._require(src)
+        iv = tree._require(dst)
+        if parent[iu] != iv and parent[iv] != iu:
+            raise IllegalMoveError(i, f"'{src}' and '{dst}' are not adjacent")
+        if counts[iu] < 2:
+            raise IllegalMoveError(i, f"source '{src}' has {counts[iu]} pebbles")
+        if counts[iv] >= top:
+            raise OverflowLimitError(f"move {i} would put more than {top} pebbles on '{dst}'")
+        counts[iu] -= 2
+        counts[iv] += 1
+    return Distribution.from_row(tree, counts)
 
 
 def majorize_cmp(x: Sequence[int], y: Sequence[int]) -> int:

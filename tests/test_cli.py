@@ -596,3 +596,13 @@ def test_golden_bytes(star, argv, code, out, err):
         (folder / name).write_text(text)
     tokens = [str(folder / t) if (folder / t).exists() else t for t in argv.split()]
     assert invoke(*tokens) == (code, out, err)
+
+
+def test_golden_bytes_in_reverse_in_one_process(star):
+    # the parser is built once per process; no call may leave state for the next
+    folder = Path(star[0]).parent
+    for name, text in GOLDEN_FILES.items():
+        (folder / name).write_text(text)
+    for argv, code, out, err in reversed(GOLDEN):
+        tokens = [str(folder / t) if (folder / t).exists() else t for t in argv.split()]
+        assert invoke(*tokens) == (code, out, err), argv

@@ -34,6 +34,7 @@ from helpers import (
     random_distribution,
     random_weights,
     reduce_leaf,
+    simulate_each,
     tree,
     weight_functions,
 )
@@ -327,6 +328,92 @@ class TestSimulate:
             simulate(t, d, moves)
         # one move short of the bound lands on exactly 2^63 - 1
         assert simulate(t, d, moves[:1])["b"] == INT64_MAX
+
+
+def _replay(replay, t, d, moves):
+    """The final distribution, or the error's type, index and message."""
+    try:
+        return replay(t, d, moves)
+    except (IllegalMoveError, OverflowLimitError, UnknownVertexError) as exc:
+        return type(exc), getattr(exc, "index", None), str(exc)
+
+
+def _run_moves(t, rng):
+    """Runs of 1-6 equal moves: mostly along edges, some self, non-adjacent or unknown."""
+    moves = []
+    for _ in range(rng.randint(0, 8)):
+        u = rng.choice(t.names)
+        roll = rng.random()
+        if roll < 0.75 and t.n > 1:
+            v = rng.choice(t.neighbors(u))
+        elif roll < 0.85:
+            v = u
+        elif roll < 0.9:
+            u, v = rng.choice([(u, "zz"), ("zz", u)])
+        else:
+            v = rng.choice(t.names)
+        moves += [PebblingMove(u, v)] * rng.randint(1, 6)
+    return moves
+
+
+def _pile(rng):
+    return rng.choice([rng.randint(0, 12), INT64_MAX - rng.randint(0, 4)])
+
+
+# path a-b-c; the two c->b moves shift every index by 2
+_RUN_CASES = {
+    "dry mid-run": ({"a": 7, "c": 4}, [("c", "b")] * 2 + [("a", "b")] * 5),
+    "overflow mid-run": ({"a": 100, "b": INT64_MAX - 4, "c": 4}, [("c", "b")] * 2 + [("a", "b")] * 5),
+    "dry and overflow at one move": (
+        {"a": 5, "b": INT64_MAX - 4, "c": 4},
+        [("c", "b")] * 2 + [("a", "b")] * 5,
+    ),
+    "destination above int64 from the start": ({"a": 10, "b": 2**64}, [("a", "b")] * 3),
+    "non-adjacent": ({"a": 9}, [("a", "b")] * 2 + [("a", "c")] * 2),
+    "self": ({"a": 9}, [("a", "b")] * 2 + [("a", "a")] * 2),
+    "unknown destination": ({"a": 9}, [("a", "b")] * 2 + [("a", "zz")] * 2),
+    "unknown source": ({"a": 9}, [("a", "b")] * 2 + [("zz", "a")] * 2),
+    "legal runs": ({"a": 12}, [("a", "b")] * 6 + [("b", "c")] * 3),
+}
+
+
+class TestRunsAgainstEachMove:
+    """``simulate`` and the move text handle a run at once; each move must read the same."""
+
+    @pytest.mark.parametrize("counts,moves", _RUN_CASES.values(), ids=_RUN_CASES)
+    def test_constructed_runs(self, counts, moves):
+        t = tree("a b;b c")
+        moves = [PebblingMove(u, v) for u, v in moves]
+        d = Distribution(counts)
+        assert _replay(simulate, t, d, moves) == _replay(simulate_each, t, d, moves)
+
+    def test_constructed_run_outcomes(self):
+        t = tree("a b;b c")
+
+        def outcome(name):
+            counts, moves = _RUN_CASES[name]
+            return _replay(simulate, t, Distribution(counts), [PebblingMove(*m) for m in moves])
+
+        dry = "illegal move at index 5: source 'a' has 1 pebbles"
+        assert outcome("dry mid-run") == (IllegalMoveError, 5, dry)
+        overflow = f"move 4 would put more than {INT64_MAX} pebbles on 'b'"
+        assert outcome("overflow mid-run") == (OverflowLimitError, None, overflow)
+        both = "illegal move at index 4: source 'a' has 1 pebbles"
+        assert outcome("dry and overflow at one move") == (IllegalMoveError, 4, both)
+
+    def test_seeded_runs_on_every_small_shape(self):
+        rng = random.Random(15)
+        for t in all_shapes(6):
+            for _ in range(40):
+                moves = _run_moves(t, rng)
+                d = Distribution({v: _pile(rng) for v in t.names})
+                assert _replay(simulate, t, d, moves) == _replay(simulate_each, t, d, moves)
+                # a generator is replayed the same as a list
+                assert _replay(simulate, t, d, iter(moves)) == _replay(simulate_each, t, d, moves)
+                text = serialize_moves(moves)
+                assert text == "".join(f"{m}\n" for m in moves)
+                if "zz" not in text.split():
+                    assert parse_moves(text, t) == moves
 
 
 # insertion order puts 'zz' first; the name-smallest unknown is reported

@@ -56,6 +56,20 @@ class TestParseTree:
             Tree([("", "a")])
         assert str(info.value) == "vertex name must be a nonempty string, got ''"
 
+    @pytest.mark.parametrize(
+        "edges,bad",
+        [([(["a"], "b")], ["a"]), ([("a", "b"), ("b", ["a"])], ["a"]), ([("a", "b"), (7, "a")], 7)],
+    )
+    def test_non_string_name_rejected(self, edges, bad):
+        # names are checked on first sighting, but an unhashable one never reaches a set
+        with pytest.raises(TreeFormatError) as info:
+            Tree(edges)
+        assert str(info.value) == f"vertex name must be a nonempty string, got {bad!r}"
+
+    def test_first_bad_name_in_edge_order(self):
+        with pytest.raises(TreeFormatError, match="'#c' starts with '#'"):
+            Tree([("a", "b"), ("b", "#c"), ("d d", "a"), ("b", "b")])
+
     def test_too_many_tokens_rejected(self):
         with pytest.raises(TreeFormatError, match="tokens"):
             parse_tree("a b c")
@@ -327,6 +341,23 @@ class TestWhitespace:
     def test_separates_move_tokens(self, ch):
         moves = parse_moves(_document(["a b", "b c"], ch), tree("a b;b c"))
         assert moves == [("a", "b"), ("b", "c")]
+
+    @pytest.mark.parametrize(
+        "lines,lineno",
+        [(["a b", "", "# c", "a b c", "a b c"], 4), (["a b", "a b", "", "", "# c", "# c", "a b c"], 7)],
+    )
+    def test_move_runs_keep_line_numbers(self, ch, lines, lineno):
+        # equal consecutive lines are checked once, as a run that starts at its first line
+        with pytest.raises(TreeFormatError, match=f"^line {lineno}: expected 'from to'$"):
+            parse_moves(_document(lines, ch), tree("a b;b c"))
+
+    def test_runs_expand_to_each_line(self, ch):
+        moves = parse_moves(_document(["a b", "a b", "", "", "b c", "b c", "b c"], ch), tree("a b;b c"))
+        assert moves == [("a", "b")] * 2 + [("b", "c")] * 3
+        with pytest.raises(TreeFormatError, match="^line 4: duplicate entry for vertex 'a'$"):
+            parse_vertex_map(_document(["", "", "a 1", "a 1"], ch), tree("a b"))
+        with pytest.raises(TreeFormatError, match="^line 4: expected 'u v' or a bare"):
+            parse_tree(_document(["a b", "", "", "b c d", "b c d"], ch))
 
     def test_indented_comment_skipped(self, ch):
         assert parse_tree(f"{ch}# x y z\na b\n") == tree("a b")
