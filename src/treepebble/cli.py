@@ -156,7 +156,7 @@ def _witness(a) -> tuple[int, dict]:
 
 
 def _witness_text(out: IO[str], p: dict, a) -> None:
-    out.write(f"# witness root={p['root']} moves={len(p['moves'])}\n")
+    out.write(f"# witness root={p['root']} moves={sum(move.k for move in p['moves'])}\n")
     out.write(serialize_moves(p["moves"]))
 
 
@@ -281,7 +281,7 @@ COMMANDS = {
     ),
     "simulate": _Command(
         "replay a move list over a distribution",
-        (_TREE, _DIST, _arg("--moves", required=True, help="move-list file, 'from to' per line")),
+        (_TREE, _DIST, _arg("--moves", required=True, help="move file, 'from to [k]' per line")),
         _simulate,
         _simulate_text,
     ),

@@ -5,28 +5,29 @@ collapses the tree onto a chosen root, one leaf at a time: a removed leaf
 with surplus c >= 0 adds floor(c/2) to its neighbor (pebbles moved in), a
 leaf in deficit c < 0 charges 2*c to its neighbor (pebbles that must be
 sent out). The sign of the single remaining value answers solvability from
-that root, and replaying the folds produces an explicit move sequence.
+that root, and replaying the folds produces an explicit list of moves, one
+batch ``(src, dst, k)`` per vertex that sends or receives pebbles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .checked import INT64_MAX, checked
 from .errors import IllegalMoveError, NotSolvableError, OverflowLimitError, TreeFormatError
-from .tree import Distribution, Tree, WeightFunction, _token_runs
+from .tree import Distribution, Tree, WeightFunction, _parse_count, _token_runs
 
 
 class PebblingMove(NamedTuple):
-    """Take two pebbles off ``src`` and put one on the adjacent ``dst``."""
+    """``k`` moves, each taking two pebbles off ``src`` and putting one on the adjacent ``dst``."""
 
     src: str
     dst: str
+    k: int = 1
 
     def __str__(self) -> str:
-        return f"{self.src} {self.dst}"
+        return f"{self.src} {self.dst}" + (f" {self.k}" if self.k != 1 else "")
 
 
 @dataclass(frozen=True)
@@ -97,13 +98,13 @@ def is_solvable(tree: Tree, dist: Distribution, weights: WeightFunction) -> Solv
 def solve_witness(
     tree: Tree, dist: Distribution, weights: WeightFunction, root: str
 ) -> list[PebblingMove]:
-    """Explicit move list that meets the demand, built from the root's collapse.
+    """Explicit move batches that meet the demand, built from the root's collapse.
 
     Two phases: surplus vertices first send floor(c/2) pebbles to their
     parent in post-order (leaves inward), then deficit vertices receive
     -c pebbles from their parent in pre-order (root outward), so a parent's
-    own deficit is always settled before it feeds a child. Requires the
-    root's collapsed value to be nonnegative.
+    own deficit is always settled before it feeds a child. Each vertex moves
+    one batch at most. Requires the root's collapsed value to be nonnegative.
     """
     fold_value, order, parent = _collapse(tree, dist, weights, root)
     ir = order[-1]
@@ -117,35 +118,40 @@ def solve_witness(
     for x in order[:-1]:
         cv = fold_value[x]
         if cv >= 2:
-            moves.extend([PebblingMove(names[x], names[parent[x]])] * (cv // 2))
+            moves.append(PebblingMove(names[x], names[parent[x]], cv // 2))
 
     stack = [ir]
     while stack:  # pre-order; the root's value is nonnegative, so it adds no move
         x = stack.pop()
         cv = fold_value[x]
         if cv < 0:
-            moves.extend([PebblingMove(names[parent[x]], names[x])] * (-cv))
+            moves.append(PebblingMove(names[parent[x]], names[x], -cv))
         stack.extend(reversed([y for y in tree._adj[x] if parent[y] == x]))
     return moves
 
 
 def simulate(tree: Tree, dist: Distribution, moves: Iterable[PebblingMove]) -> Distribution:
-    """Apply moves in order; each needs two pebbles on its source.
+    """Apply batches of moves in order; each move needs two pebbles on its source.
 
-    Raises IllegalMoveError (with the offending index) on a non-adjacent
-    move or an underfunded source, OverflowLimitError on a count past 2^63 - 1.
+    Raises IllegalMoveError (with the offending move's index, counting single
+    moves) on a batch between non-adjacent vertices or an underfunded source,
+    OverflowLimitError on a count past 2^63 - 1, and ValueError on a batch
+    whose ``k`` is not a nonnegative int; a batch of no moves is skipped.
 
-    Each run of k equal consecutive moves u->v is checked and applied in one
-    step: from counts c_u and c_v, exactly min(k, c_u // 2, 2^63 - 1 - c_v)
-    of them are legal, and the first illegal one raises what a move-by-move
-    replay would, the source check first.
+    A batch of k moves u->v is checked and applied in one step: from counts
+    c_u and c_v, exactly min(k, c_u // 2, 2^63 - 1 - c_v) of them are legal,
+    and the first illegal one raises what a move-by-move replay would, the
+    source check first.
     """
     counts = dist.row(tree)
     parent = tree._parent
     top = INT64_MAX
-    i = 0  # index of the run's first move
-    for (src, dst), run in groupby(moves):
-        k = len(list(run))
+    i = 0  # index of the batch's first move
+    for src, dst, k in moves:
+        if type(k) is not int or k < 0:
+            raise ValueError(f"batch '{src}' -> '{dst}' needs a nonnegative int k, got {k!r}")
+        if k == 0:  # no move, so nothing to check
+            continue
         iu = tree._require(src)
         iv = tree._require(dst)
         if parent[iu] != iv and parent[iv] != iu:
@@ -163,25 +169,24 @@ def simulate(tree: Tree, dist: Distribution, moves: Iterable[PebblingMove]) -> D
 
 
 def parse_moves(text: str, tree: Tree) -> list[PebblingMove]:
-    """Parse ``from to`` lines into moves over ``tree``'s vertices.
+    """Parse ``from to [k]`` lines into move batches over ``tree``'s vertices.
 
-    A run of k equal consecutive lines is tokenized and checked once and
-    becomes k references to one move; a FORMAT error names the run's first line.
+    ``k`` is a count as in a vertex map and defaults to 1. A run of r equal
+    consecutive lines is tokenized and checked once and becomes one batch of
+    r * k moves; a FORMAT error names the run's first line.
     """
     moves: list[PebblingMove] = []
-    for lineno, tokens, k in _token_runs(text):
-        if len(tokens) != 2:
+    for lineno, tokens, r in _token_runs(text):
+        if len(tokens) not in (2, 3):
             raise TreeFormatError(f"line {lineno}: expected 'from to'")
-        src, dst = tokens
+        src, dst = tokens[:2]
         tree._require(src)
         tree._require(dst)
-        moves += [PebblingMove(src, dst)] * k
+        k = _parse_count(tokens[2], lineno, "move count") if len(tokens) == 3 else 1
+        moves.append(PebblingMove(src, dst, r * k))
     return moves
 
 
-def serialize_moves(moves: Sequence[PebblingMove]) -> str:
-    """Replayable ``from to`` document, one line per move; empty for no moves.
-
-    Each run of equal consecutive moves is formatted once and repeated.
-    """
-    return "".join(f"{src} {dst}\n" * len(list(run)) for (src, dst), run in groupby(moves))
+def serialize_moves(moves: Iterable[PebblingMove]) -> str:
+    """Replayable move document, one ``from to [k]`` line per batch; empty for none."""
+    return "".join(f"{move}\n" for move in moves)

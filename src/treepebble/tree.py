@@ -306,8 +306,8 @@ def _token_runs(text: str) -> Iterator[tuple[int, list[str], int]]:
     """``(first line number, whitespace-split tokens, run length)`` of each run of
     equal consecutive lines that are not blank or a comment.
 
-    A run of k lines is split and tested once: the three document formats
-    read it as k equal lines, and a long move list is mostly such runs.
+    A run of k lines is split and tested once, and each parser reads it as
+    one line repeated k times without expanding it.
     """
     lineno = 1
     for raw, run in groupby(text.splitlines()):
@@ -329,9 +329,10 @@ def parse_tree(text: str) -> Tree:
     singles: list[str] = []
     for lineno, tokens, k in _token_runs(text):
         if len(tokens) == 1:
-            singles += [tokens[0]] * k
+            singles.append(tokens[0])  # a repeated name declares the same vertex
         elif len(tokens) == 2:
-            edges += [(tokens[0], tokens[1])] * k
+            # a repeated line is a duplicate edge: its second copy makes the Tree report it
+            edges += [(tokens[0], tokens[1])] * min(k, 2)
         else:
             raise TreeFormatError(
                 f"line {lineno}: expected 'u v' or a bare vertex name, got {len(tokens)} tokens"
@@ -354,6 +355,22 @@ def tree_id(tree: Tree) -> str:
     return serialize_tree(tree).strip().replace("\n", ";")
 
 
+def _parse_count(raw: str, lineno: int, what: str) -> int:
+    """Count token ``raw`` of line ``lineno``, ASCII digits below 2^63; ``what`` names it."""
+    # an optional minus sign (rejected with its own message), then ASCII
+    # digits: int() alone would also take '+', '_' and non-ASCII digits
+    digits = raw.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise TreeFormatError(f"line {lineno}: '{raw}' is not a decimal integer")
+    if digits != raw:
+        raise TreeFormatError(f"line {lineno}: negative {what}")
+    # the length test keeps int() off strings it would refuse or crawl through
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(INT64_MAX)) or int(digits) > INT64_MAX:
+        raise OverflowLimitError(f"line {lineno}: {what} exceeds the signed 64-bit range")
+    return int(digits)
+
+
 def parse_vertex_map(text: str, tree: Tree) -> dict[str, int]:
     """Parse ``v k`` lines into a name -> nonnegative int map over ``tree``.
 
@@ -367,20 +384,7 @@ def parse_vertex_map(text: str, tree: Tree) -> dict[str, int]:
         tree._require(name)
         if name in values:
             raise TreeFormatError(f"line {lineno}: duplicate entry for vertex '{name}'")
-        # an optional minus sign (rejected with its own message), then ASCII
-        # digits: int() alone would also take '+', '_' and non-ASCII digits
-        digits = raw.removeprefix("-")
-        if not (digits.isascii() and digits.isdigit()):
-            raise TreeFormatError(f"line {lineno}: '{raw}' is not a decimal integer")
-        if digits != raw:
-            raise TreeFormatError(f"line {lineno}: negative count for vertex '{name}'")
-        # the length test keeps int() off strings it would refuse or crawl through
-        digits = digits.lstrip("0") or "0"
-        if len(digits) > len(str(INT64_MAX)) or int(digits) > INT64_MAX:
-            raise OverflowLimitError(
-                f"line {lineno}: count for vertex '{name}' exceeds the signed 64-bit range"
-            )
-        values[name] = int(digits)
+        values[name] = _parse_count(raw, lineno, f"count for vertex '{name}'")
         if k > 1:  # the run's second line repeats this entry
             raise TreeFormatError(f"line {lineno + 1}: duplicate entry for vertex '{name}'")
     return values

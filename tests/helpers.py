@@ -188,7 +188,7 @@ def greedy_partition(forest, rng: random.Random | None = None) -> PathPartition:
 
 
 def simulate_each(tree: Tree, dist: Distribution, moves: Iterable[tuple[str, str]]) -> Distribution:
-    """Reference replay, one move at a time: ``simulate`` checks and applies a run at once."""
+    """Reference replay, one move at a time: ``simulate`` checks and applies a batch at once."""
     counts = dist.row(tree)
     parent = tree._parent
     top = INT64_MAX

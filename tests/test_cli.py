@@ -135,6 +135,32 @@ class TestWitnessSimulateRoundTrip:
         assert code == 0
         assert "c 1" in out
 
+    @pytest.mark.parametrize(
+        "pile,demand,final",
+        [
+            (2**63 - 1, 1, "a 1\nb 4611686018427387903\n"),
+            (2**62, 2**61, "a 0\nb 2305843009213693952\n"),
+        ],
+        ids=["2^63-1 for 1", "2^62 for 2^61"],
+    )
+    def test_one_batch_moves_a_pile_past_2_62(self, tmp_path, pile, demand, final):
+        # one line per batch: a list of single moves this long once ran out of memory
+        tree = tmp_path / "t.tree"
+        tree.write_text("a b\n")
+        weights = tmp_path / "w.map"
+        weights.write_text(f"b {demand}\n")
+        dist = tmp_path / "d.map"
+        dist.write_text(f"a {pile}\n")
+        code, moves_text, err = invoke(
+            "witness", "--root", "b", "--tree", str(tree), "--weights", str(weights), "--dist", str(dist)
+        )
+        k = pile // 2
+        assert (code, moves_text, err) == (0, f"# witness root=b moves={k}\na b {k}\n", "")
+        moves = tmp_path / "m.moves"
+        moves.write_text(moves_text)
+        replay = invoke("simulate", "--tree", str(tree), "--dist", str(dist), "--moves", str(moves))
+        assert replay == (0, f"# final size={pile - k}\n{final}", "")
+
     def test_witness_on_unsolvable_errors(self, tmp_path):
         tree = tmp_path / "t.tree"
         tree.write_text("a b\n")
@@ -452,16 +478,16 @@ GOLDEN = [
      '{"command": "solvable", "hat": {"a": -5, "b": -4, "c": -5, "d": -7}, "solvable": false, "witness_root": null}\n',
      ''),
     ('witness --tree star.tree --weights demand.map --dist dist.map', 0,
-     '# witness root=a moves=4\nb a\nb a\nb a\nb c\n',
+     '# witness root=a moves=4\nb a 3\nb c\n',
      ''),
     ('witness --tree star.tree --weights demand.map --dist dist.map --json', 0,
-     '{"command": "witness", "moves": [["b", "a"], ["b", "a"], ["b", "a"], ["b", "c"]], "root": "a"}\n',
+     '{"command": "witness", "moves": [["b", "a", 3], ["b", "c", 1]], "root": "a"}\n',
      ''),
     ('witness --tree star.tree --weights demand.map --dist dist.map --root a', 0,
-     '# witness root=a moves=4\nb a\nb a\nb a\nb c\n',
+     '# witness root=a moves=4\nb a 3\nb c\n',
      ''),
     ('witness --tree star.tree --weights demand.map --dist dist.map --root a --json', 0,
-     '{"command": "witness", "moves": [["b", "a"], ["b", "a"], ["b", "a"], ["b", "c"]], "root": "a"}\n',
+     '{"command": "witness", "moves": [["b", "a", 3], ["b", "c", 1]], "root": "a"}\n',
      ''),
     ('simulate --tree star.tree --dist dist.map --moves legal.moves', 0,
      '# final size=6\na 1\nb 4\nc 1\nd 0\n',

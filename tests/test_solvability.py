@@ -241,7 +241,7 @@ class TestSolveWitness:
     def test_chain_moves(self):
         t = tree("a b;b c")
         moves = solve_witness(t, Distribution({"a": 4}), WeightFunction({"c": 1}), "c")
-        assert [str(m) for m in moves] == ["a b", "a b", "b c"]
+        assert [str(m) for m in moves] == ["a b 2", "b c"]
         final = simulate(t, Distribution({"a": 4}), moves)
         assert final.items() == (("c", 1),)
 
@@ -329,6 +329,15 @@ class TestSimulate:
         # one move short of the bound lands on exactly 2^63 - 1
         assert simulate(t, d, moves[:1])["b"] == INT64_MAX
 
+    @pytest.mark.parametrize("k", [-1, 1.0, True, "2", None])
+    def test_batch_size_must_be_a_nonnegative_int(self, k):
+        t = tree("a b")
+        d = Distribution({"b": 4})
+        # checked before the batch moves anything: a negative k would move pebbles backwards
+        with pytest.raises(ValueError, match=f"^batch 'a' -> 'b' needs a nonnegative int k, got {k!r}$"):
+            simulate(t, d, [PebblingMove("b", "a"), PebblingMove("a", "b", k)])
+        assert simulate(t, d, [PebblingMove("a", "b", 0)]) == d
+
 
 def _replay(replay, t, d, moves):
     """The final distribution, or the error's type, index and message."""
@@ -338,8 +347,13 @@ def _replay(replay, t, d, moves):
         return type(exc), getattr(exc, "index", None), str(exc)
 
 
+def _each(moves):
+    """The batches as single ``(src, dst)`` moves, the input ``simulate_each`` replays."""
+    return [(m.src, m.dst) for m in moves for _ in range(m.k)]
+
+
 def _run_moves(t, rng):
-    """Runs of 1-6 equal moves: mostly along edges, some self, non-adjacent or unknown."""
+    """Batches of 0-6 moves: mostly along edges, some self, non-adjacent or unknown."""
     moves = []
     for _ in range(rng.randint(0, 8)):
         u = rng.choice(t.names)
@@ -352,7 +366,7 @@ def _run_moves(t, rng):
             u, v = rng.choice([(u, "zz"), ("zz", u)])
         else:
             v = rng.choice(t.names)
-        moves += [PebblingMove(u, v)] * rng.randint(1, 6)
+        moves.append(PebblingMove(u, v, rng.randint(0, 6)))
     return moves
 
 
@@ -360,32 +374,31 @@ def _pile(rng):
     return rng.choice([rng.randint(0, 12), INT64_MAX - rng.randint(0, 4)])
 
 
-# path a-b-c; the two c->b moves shift every index by 2
+# path a-b-c; the batch of two c->b moves shifts every index by 2
 _RUN_CASES = {
-    "dry mid-run": ({"a": 7, "c": 4}, [("c", "b")] * 2 + [("a", "b")] * 5),
-    "overflow mid-run": ({"a": 100, "b": INT64_MAX - 4, "c": 4}, [("c", "b")] * 2 + [("a", "b")] * 5),
-    "dry and overflow at one move": (
-        {"a": 5, "b": INT64_MAX - 4, "c": 4},
-        [("c", "b")] * 2 + [("a", "b")] * 5,
-    ),
-    "destination above int64 from the start": ({"a": 10, "b": 2**64}, [("a", "b")] * 3),
-    "non-adjacent": ({"a": 9}, [("a", "b")] * 2 + [("a", "c")] * 2),
-    "self": ({"a": 9}, [("a", "b")] * 2 + [("a", "a")] * 2),
-    "unknown destination": ({"a": 9}, [("a", "b")] * 2 + [("a", "zz")] * 2),
-    "unknown source": ({"a": 9}, [("a", "b")] * 2 + [("zz", "a")] * 2),
-    "legal runs": ({"a": 12}, [("a", "b")] * 6 + [("b", "c")] * 3),
+    "dry mid-run": ({"a": 7, "c": 4}, [("c", "b", 2), ("a", "b", 5)]),
+    "overflow mid-run": ({"a": 100, "b": INT64_MAX - 4, "c": 4}, [("c", "b", 2), ("a", "b", 5)]),
+    "dry and overflow at one move": ({"a": 5, "b": INT64_MAX - 4, "c": 4}, [("c", "b", 2), ("a", "b", 5)]),
+    "destination above int64 from the start": ({"a": 10, "b": 2**64}, [("a", "b", 3)]),
+    "non-adjacent": ({"a": 9}, [("a", "b", 2), ("a", "c", 2)]),
+    "self": ({"a": 9}, [("a", "b", 2), ("a", "a", 2)]),
+    "unknown destination": ({"a": 9}, [("a", "b", 2), ("a", "zz", 2)]),
+    "unknown source": ({"a": 9}, [("a", "b", 2), ("zz", "a", 2)]),
+    "legal runs": ({"a": 12}, [("a", "b", 6), ("b", "c", 3)]),
+    "equal batches in a row": ({"a": 9}, [("a", "b", 2), ("a", "b", 3)]),
+    "empty batches": ({"a": 4}, [("a", "b", 0), ("a", "b", 1), ("b", "c", 0), ("a", "b", 2)]),
 }
 
 
 class TestRunsAgainstEachMove:
-    """``simulate`` and the move text handle a run at once; each move must read the same."""
+    """``simulate`` applies a batch at once; it must read the same as its single moves."""
 
     @pytest.mark.parametrize("counts,moves", _RUN_CASES.values(), ids=_RUN_CASES)
     def test_constructed_runs(self, counts, moves):
         t = tree("a b;b c")
-        moves = [PebblingMove(u, v) for u, v in moves]
+        moves = [PebblingMove(*m) for m in moves]
         d = Distribution(counts)
-        assert _replay(simulate, t, d, moves) == _replay(simulate_each, t, d, moves)
+        assert _replay(simulate, t, d, moves) == _replay(simulate_each, t, d, _each(moves))
 
     def test_constructed_run_outcomes(self):
         t = tree("a b;b c")
@@ -407,13 +420,14 @@ class TestRunsAgainstEachMove:
             for _ in range(40):
                 moves = _run_moves(t, rng)
                 d = Distribution({v: _pile(rng) for v in t.names})
-                assert _replay(simulate, t, d, moves) == _replay(simulate_each, t, d, moves)
+                each = _replay(simulate_each, t, d, _each(moves))
+                assert _replay(simulate, t, d, moves) == each
                 # a generator is replayed the same as a list
-                assert _replay(simulate, t, d, iter(moves)) == _replay(simulate_each, t, d, moves)
+                assert _replay(simulate, t, d, iter(moves)) == each
                 text = serialize_moves(moves)
-                assert text == "".join(f"{m}\n" for m in moves)
                 if "zz" not in text.split():
-                    assert parse_moves(text, t) == moves
+                    # equal batches in a row come back as one, the same single moves
+                    assert _each(parse_moves(text, t)) == _each(moves)
 
 
 # insertion order puts 'zz' first; the name-smallest unknown is reported
@@ -440,12 +454,15 @@ def test_first_unknown_name_in_name_order(call):
 class TestPebblingMove:
     def test_text_forms(self):
         mv = PebblingMove("a", "b")
-        assert repr(mv) == "PebblingMove(src='a', dst='b')"
+        assert repr(mv) == "PebblingMove(src='a', dst='b', k=1)"
         assert str(mv) == "a b"
+        assert str(PebblingMove("a", "b", 3)) == "a b 3"
+        assert str(PebblingMove("a", "b", 0)) == "a b 0"
 
     def test_equality_and_hash(self):
         assert PebblingMove("a", "b") == PebblingMove("a", "b")
         assert PebblingMove("a", "b") != PebblingMove("b", "a")
+        assert PebblingMove("a", "b") == PebblingMove("a", "b", 1) != PebblingMove("a", "b", 2)
         assert hash(PebblingMove("a", "b")) == hash(PebblingMove("a", "b"))
         assert len({PebblingMove("a", "b"), PebblingMove("a", "b"), PebblingMove("b", "a")}) == 2
 
@@ -454,8 +471,9 @@ class TestPebblingMove:
         with pytest.raises(AttributeError):
             mv.src = "c"
 
-    def test_json_is_a_name_pair(self):
-        assert json.dumps(PebblingMove("a", "b")) == '["a", "b"]'
+    def test_json_is_src_dst_k(self):
+        assert json.dumps(PebblingMove("a", "b")) == '["a", "b", 1]'
+        assert json.dumps(PebblingMove("a", "b", 5)) == '["a", "b", 5]'
 
 
 class TestMoveDocuments:
@@ -463,6 +481,22 @@ class TestMoveDocuments:
         t = tree("a b;b c")
         moves = [PebblingMove("a", "b"), PebblingMove("b", "c")]
         assert parse_moves(serialize_moves(moves), t) == moves
+
+    def test_batch_round_trip(self):
+        t = tree("a b;b c")
+        moves = [PebblingMove("a", "b", 5), PebblingMove("b", "c"), PebblingMove("a", "b", 0),
+                 PebblingMove("b", "a", INT64_MAX)]
+        text = serialize_moves(moves)
+        assert text == f"a b 5\nb c\na b 0\nb a {INT64_MAX}\n"
+        assert parse_moves(text, t) == moves
+
+    def test_repeated_lines_read_as_one_batch(self):
+        # r two-token lines, as older move files repeat a move, read as one 'from to r' line
+        t = tree("a b;b c")
+        old = "a b\n" * 4 + "# c\n" + "b c\n" * 2 + "a b 3\n" * 2
+        assert parse_moves(old, t) == parse_moves("a b 4\n# c\nb c 2\na b 6\n", t)
+        assert parse_moves(old, t) == [PebblingMove("a", "b", 4), PebblingMove("b", "c", 2),
+                                       PebblingMove("a", "b", 6)]
 
     def test_empty_document(self):
         assert serialize_moves([]) == ""
@@ -474,7 +508,7 @@ class TestMoveDocuments:
 
     def test_malformed_line_is_format_error(self):
         with pytest.raises(TreeFormatError, match="line 2: expected 'from to'"):
-            parse_moves("a b\na b c\n", tree("a b"))
+            parse_moves("a b\na b 1 c\n", tree("a b"))
 
 
 @settings(max_examples=120, deadline=None)
@@ -536,6 +570,7 @@ def test_witness_replay_meets_demand(n, seed, d_size, w_total):
     if not cert.solvable:
         return
     moves = solve_witness(t, d, w, cert.witness_root)
+    assert len(moves) <= t.n - 1  # one batch per vertex that moves
     final = simulate(t, d, moves)
     assert final.dominates(w)
-    assert final.size == d.size - len(moves)
+    assert final.size == d.size - sum(m.k for m in moves)

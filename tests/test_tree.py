@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -280,6 +281,8 @@ class TestVertexMapParsing:
     def test_negative_rejected(self):
         with pytest.raises(TreeFormatError, match="negative"):
             parse_vertex_map("a -1", tree("a b"))
+        with pytest.raises(TreeFormatError, match="^line 1: negative move count$"):
+            parse_moves("a b -1", tree("a b"))
 
     def test_duplicate_rejected(self):
         with pytest.raises(TreeFormatError, match="duplicate"):
@@ -289,11 +292,13 @@ class TestVertexMapParsing:
         with pytest.raises(TreeFormatError, match="decimal"):
             parse_vertex_map("a x", tree("a b"))
 
-    @pytest.mark.parametrize("raw", ["1_0", "+3", "\u0663", "-x"])
+    @pytest.mark.parametrize("raw", ["1_0", "+3", "\u0663", "-x", "3_0"])
     def test_only_ascii_digits_accepted(self, raw):
-        # int() would read the first three as 10, 3 and 3
+        # int() would read the first three as 10, 3 and 3; a move count is read the same way
         with pytest.raises(TreeFormatError, match="line 1: .* is not a decimal integer"):
             parse_vertex_map(f"a {raw}", tree("a b"))
+        with pytest.raises(TreeFormatError, match=f"^line 1: '{re.escape(raw)}' is not a decimal integer$"):
+            parse_moves(f"a b {raw}", tree("a b"))
 
     def test_negative_zero_rejected(self):
         with pytest.raises(TreeFormatError, match="negative"):
@@ -301,6 +306,8 @@ class TestVertexMapParsing:
 
     def test_largest_int64_accepted(self):
         assert parse_vertex_map(f"a {2**63 - 1}\nb 007", tree("a b")) == {"a": 2**63 - 1, "b": 7}
+        moves = parse_moves(f"a b {2**63 - 1}\nb a 007\na b 0", tree("a b"))
+        assert moves == [("a", "b", 2**63 - 1), ("b", "a", 7), ("a", "b", 0)]
 
     def test_any_number_of_leading_zeros(self):
         # past 4300 digits int() refuses the string, so the zeros must go first
@@ -313,6 +320,8 @@ class TestVertexMapParsing:
     def test_above_int64_overflows(self, raw):
         with pytest.raises(OverflowLimitError, match="line 2: count for vertex 'b' exceeds"):
             parse_vertex_map(f"a 1\nb {raw}", tree("a b"))
+        with pytest.raises(OverflowLimitError, match="^line 2: move count exceeds the signed 64-bit"):
+            parse_moves(f"a b\nb a {raw}", tree("a b"))
 
 
 # every code point str.isspace() accepts; str.splitlines() also breaks lines at some
@@ -339,12 +348,15 @@ class TestWhitespace:
         assert parse_vertex_map(_document(["a 1", "c 2"], ch), tree("a b;b c")) == {"a": 1, "c": 2}
 
     def test_separates_move_tokens(self, ch):
-        moves = parse_moves(_document(["a b", "b c"], ch), tree("a b;b c"))
-        assert moves == [("a", "b"), ("b", "c")]
+        moves = parse_moves(_document(["a b", "b c 2"], ch), tree("a b;b c"))
+        assert moves == [("a", "b", 1), ("b", "c", 2)]
 
     @pytest.mark.parametrize(
         "lines,lineno",
-        [(["a b", "", "# c", "a b c", "a b c"], 4), (["a b", "a b", "", "", "# c", "# c", "a b c"], 7)],
+        [
+            (["a b", "", "# c", "a b 1 c", "a b 1 c"], 4),
+            (["a b", "a b", "", "", "# c", "# c", "a b 1 c"], 7),
+        ],
     )
     def test_move_runs_keep_line_numbers(self, ch, lines, lineno):
         # equal consecutive lines are checked once, as a run that starts at its first line
@@ -353,7 +365,7 @@ class TestWhitespace:
 
     def test_runs_expand_to_each_line(self, ch):
         moves = parse_moves(_document(["a b", "a b", "", "", "b c", "b c", "b c"], ch), tree("a b;b c"))
-        assert moves == [("a", "b")] * 2 + [("b", "c")] * 3
+        assert moves == [("a", "b", 2), ("b", "c", 3)]
         with pytest.raises(TreeFormatError, match="^line 4: duplicate entry for vertex 'a'$"):
             parse_vertex_map(_document(["", "", "a 1", "a 1"], ch), tree("a b"))
         with pytest.raises(TreeFormatError, match="^line 4: expected 'u v' or a bare"):
