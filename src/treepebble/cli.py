@@ -231,17 +231,14 @@ def _arg(*flags: str, **options) -> tuple:
     return flags, options
 
 
-_TREE = _arg("--tree", required=True)
-_WEIGHTS = _arg("--weights", required=True)
-_DIST = _arg("--dist", required=True)
+_TREE = _arg("--tree", required=True, help="edge-list file")
+_WEIGHTS = _arg("--weights", required=True, help="vertex-valued demand file")
+_DIST = _arg("--dist", required=True, help="vertex-valued pebble file")
 
 COMMANDS = {
     "partition": _Command(
         "maximum path partition toward a root",
-        (
-            _arg("--tree", required=True, help="edge-list file"),
-            _arg("--root", required=True, help="orientation target vertex"),
-        ),
+        (_TREE, _arg("--root", required=True, help="orientation target vertex")),
         _partition,
         _partition_text,
     ),
@@ -258,13 +255,13 @@ COMMANDS = {
     ),
     "cover": _Command(
         "cover pebbling number and per-vertex score table",
-        (_TREE, _arg("--weights", required=True, help="vertex-valued demand file")),
+        (_TREE, _WEIGHTS),
         _cover,
         _cover_text,
     ),
     "solvable": _Command(
         "decide solvability; exit 0/1",
-        (_TREE, _WEIGHTS, _arg("--dist", required=True, help="vertex-valued pebble file")),
+        (_TREE, _WEIGHTS, _DIST),
         _solvable,
         _solvable_text,
     ),

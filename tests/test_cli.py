@@ -270,8 +270,9 @@ class TestGenTreeCommand:
     [
         (["--help"], "usage: treepebble ", "verify"),
         (["cover", "--help"], "usage: treepebble cover ", "--weights"),
+        (["witness", "--help"], "usage: treepebble witness ", "vertex-valued pebble file"),
     ],
-    ids=["top-level", "subcommand"],
+    ids=["top-level", "subcommand", "shared flag"],
 )
 def test_help_goes_to_the_given_stream(argv, usage, option, capsys):
     code, out, err = invoke(*argv)
