@@ -5,6 +5,9 @@ indices in sorted-name order, and every iteration order in this package is
 sorted-by-name, so all derived output is deterministic. Trees and the value
 maps defined on them are immutable after construction; every operation is a
 pure function of its inputs and safe to share across threads.
+``Tree.edges`` is derived on demand. A tree is validated by bulk name
+checks, its edge count and one rooting; the per-edge loop runs only on
+rejected input, to choose the message.
 ``Tree.orient_toward`` builds the ``DirectedForest`` of a tree toward a sink
 subtree, the view that ``max_path_partition`` reads, from one rooting.
 
@@ -20,7 +23,7 @@ File formats (UTF-8, newline separated, full-line '#' comments):
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .checked import INT64_MAX
 from .errors import OverflowLimitError, TreeFormatError, UnknownVertexError
@@ -36,65 +39,83 @@ def _check_name(name: str) -> str:
     return name
 
 
+def _reject(edges: Sequence, vertices: Sequence, reached: int) -> NoReturn:
+    """Raise the first error of input ``Tree`` rejected, whose rooting reached ``reached``
+    vertices (0: not rooted): a bad name, a self-loop or a duplicate, edge by edge, then
+    a bad bare name, empty input, disconnection and a cycle."""
+    names: set[str] = set()
+    seen: set[tuple[str, str]] = set()
+    for u, v in edges:
+        names.add(_check_name(u))
+        names.add(_check_name(v))
+        if u == v:
+            raise TreeFormatError(f"self-loop at vertex '{u}'")
+        pair = (u, v) if u < v else (v, u)
+        if pair in seen:
+            raise TreeFormatError(f"duplicate edge {pair[0]} {pair[1]}")
+        seen.add(pair)
+    for v in vertices:
+        names.add(_check_name(v))
+    if not names:
+        raise TreeFormatError("empty input: a tree needs at least one vertex")
+    if reached < len(names):
+        raise TreeFormatError("edges do not form a connected graph (disconnected)")
+    # names are valid and the graph is simple and connected, so it has too many edges
+    raise TreeFormatError("cycle detected: edge count exceeds vertex count - 1")
+
+
 class Tree:
     """An immutable undirected tree.
 
     Attributes:
         names: all vertex names, sorted.
         index: name -> dense index (the position in ``names``).
-        edges: unordered edges as ``(u, v)`` pairs with ``u < v``, sorted.
+        edges: unordered edges as ``(u, v)`` pairs with ``u < v``, sorted, derived on demand.
+
+    Input is valid iff its n names pass bulk checks and one rooting reaches them all through
+    n - 1 edges, so no self-loop, duplicate or cycle can hide; ``_reject`` words the rest.
     """
 
-    __slots__ = ("names", "index", "edges", "_adj", "_parent")
+    __slots__ = ("names", "index", "_adj", "_parent")
 
     def __init__(self, edges: Iterable[tuple[str, str]], vertices: Iterable[str] = ()):
-        names: set[str] = set()
-        seen: set[tuple[str, str]] = set()
-        for u, v in edges:
-            # each name is checked on its first sighting: one already in ``names`` has
-            # passed, and a non-str one (maybe unhashable) goes straight to the check
-            if type(u) is not str or u not in names:
-                _check_name(u)
-            if type(v) is not str or v not in names:
-                _check_name(v)
-            if u == v:
-                raise TreeFormatError(f"self-loop at vertex '{u}'")
-            pair = (u, v) if u < v else (v, u)
-            if pair in seen:
-                raise TreeFormatError(f"duplicate edge {pair[0]} {pair[1]}")
-            seen.add(pair)
-            names.add(u)
-            names.add(v)
-        for v in vertices:
-            names.add(_check_name(v))
-        if not names:
-            raise TreeFormatError("empty input: a tree needs at least one vertex")
+        edges, vertices = list(edges), list(vertices)
+        try:
+            us, vs = [u for u, _ in edges], [v for _, v in edges]
+            names = sorted({*us, *vs, *vertices})
+            joined = " ".join(names)
+        except (TypeError, ValueError):  # a pair that is not two names, or a non-str name
+            _reject(edges, vertices, 0)
+        # every name nonempty, without whitespace, and none starting with '#'
+        if not names or joined.split() != names or joined.startswith("#") or " #" in joined:
+            _reject(edges, vertices, 0)
 
-        self.names: tuple[str, ...] = tuple(sorted(names))
-        self.index: dict[str, int] = {name: i for i, name in enumerate(self.names)}
-        self.edges: tuple[tuple[str, str], ...] = tuple(sorted(seen))
-
-        adj: list[list[int]] = [[] for _ in self.names]
-        for u, v in self.edges:
-            iu, iv = self.index[u], self.index[v]
+        n = len(names)
+        self.names: tuple[str, ...] = tuple(names)
+        self.index: dict[str, int] = dict(zip(names, range(n)))
+        adj: list[list[int]] = [[] for _ in names]
+        for iu, iv in zip(map(self.index.__getitem__, us), map(self.index.__getitem__, vs)):
             adj[iu].append(iv)
             adj[iv].append(iu)
-        # rows come out ascending (index order is name order): with the edges sorted, a
-        # vertex meets its smaller neighbours first, ascending, then its larger ones
+        for row in adj:
+            row.sort()
         self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
 
         # rooted at index 0, u-v is an edge iff parent[u] == v or parent[v] == u
         order, self._parent, _ = self._rooting(0)
-        if len(order) != len(self.names):
-            raise TreeFormatError("edges do not form a connected graph (disconnected)")
-        if len(self.edges) != len(self.names) - 1:
-            raise TreeFormatError("cycle detected: edge count exceeds vertex count - 1")
+        if len(order) != n or len(edges) != n - 1:
+            _reject(edges, vertices, len(order))
 
     # -- basic queries -------------------------------------------------
 
     @property
     def n(self) -> int:
         return len(self.names)
+
+    @property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        names = self.names
+        return tuple((names[x], names[y]) for x, row in enumerate(self._adj) for y in row if x < y)
 
     def _require(self, name: str) -> int:
         try:
@@ -181,13 +202,13 @@ class Tree:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tree):
             return NotImplemented
-        return self.names == other.names and self.edges == other.edges
+        return self.names == other.names and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.names, self.edges))
+        return hash((self.names, self._adj))
 
     def __repr__(self) -> str:
-        return f"Tree({len(self.names)} vertices, {len(self.edges)} edges)"
+        return f"Tree({len(self.names)} vertices, {len(self.names) - 1} edges)"
 
 
 class DirectedForest:
@@ -325,14 +346,16 @@ def parse_tree(text: str) -> Tree:
     name, and, through the Tree constructor, on duplicate edges,
     self-loops, cycles, disconnected input, or an empty document.
     """
-    edges: list[tuple[str, str]] = []
+    edges: list[list[str]] = []
     singles: list[str] = []
-    for lineno, tokens, k in _token_runs(text):
-        if len(tokens) == 1:
-            singles.append(tokens[0])  # a repeated name declares the same vertex
-        elif len(tokens) == 2:
-            # a repeated line is a duplicate edge: its second copy makes the Tree report it
-            edges += [(tokens[0], tokens[1])] * min(k, 2)
+    # str.splitlines, as in _token_runs, so that line numbers count the same breaks
+    for lineno, tokens in enumerate([line.split() for line in text.splitlines()], 1):
+        if len(tokens) == 2 and not tokens[0].startswith("#"):
+            edges.append(tokens)
+        elif not tokens or tokens[0].startswith("#"):
+            continue
+        elif len(tokens) == 1:
+            singles.append(tokens[0])
         else:
             raise TreeFormatError(
                 f"line {lineno}: expected 'u v' or a bare vertex name, got {len(tokens)} tokens"

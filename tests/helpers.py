@@ -21,6 +21,7 @@ from treepebble import (
     OverflowLimitError,
     PathPartition,
     Tree,
+    TreeFormatError,
     WeightFunction,
     oracle,
     partition_score,
@@ -35,6 +36,93 @@ def tree(text: str) -> Tree:
     from treepebble import parse_tree
 
     return parse_tree(text.replace(";", "\n"))
+
+
+def _reference_check_name(name: str) -> str:
+    if not isinstance(name, str) or not name:
+        raise TreeFormatError(f"vertex name must be a nonempty string, got {name!r}")
+    if name.split() != [name]:
+        raise TreeFormatError(f"vertex name {name!r} contains whitespace")
+    if name.startswith("#"):
+        raise TreeFormatError(f"vertex name {name!r} starts with '#' (reserved for comments)")
+    return name
+
+
+class ReferenceTree:
+    """The Tree constructor that checks every edge as it reads it, the reference for
+    ``Tree``'s bulk checks and single validating rooting.
+
+    It keeps the attributes that ``Tree`` derives (``names``, ``edges``, ``_adj``,
+    ``_parent``) and raises the same errors in the same order.
+    """
+
+    def __init__(self, edges: Iterable[tuple[str, str]], vertices: Iterable[str] = ()):
+        names: set[str] = set()
+        seen: set[tuple[str, str]] = set()
+        for u, v in edges:
+            if type(u) is not str or u not in names:
+                _reference_check_name(u)
+            if type(v) is not str or v not in names:
+                _reference_check_name(v)
+            if u == v:
+                raise TreeFormatError(f"self-loop at vertex '{u}'")
+            pair = (u, v) if u < v else (v, u)
+            if pair in seen:
+                raise TreeFormatError(f"duplicate edge {pair[0]} {pair[1]}")
+            seen.add(pair)
+            names.add(u)
+            names.add(v)
+        for v in vertices:
+            names.add(_reference_check_name(v))
+        if not names:
+            raise TreeFormatError("empty input: a tree needs at least one vertex")
+
+        self.names = tuple(sorted(names))
+        index = {name: i for i, name in enumerate(self.names)}
+        self.edges = tuple(sorted(seen))
+        adj: list[list[int]] = [[] for _ in self.names]
+        for u, v in self.edges:
+            adj[index[u]].append(index[v])
+            adj[index[v]].append(index[u])
+        self._adj = tuple(map(tuple, adj))  # ascending: the edges are sorted
+
+        # a depth-first rooting at index 0, children pushed in row order
+        self._parent = [-1] * len(self.names)
+        reached = {0}
+        stack = [0]
+        while stack:
+            x = stack.pop()
+            for y in self._adj[x]:
+                if y not in reached:
+                    reached.add(y)
+                    self._parent[y] = x
+                    stack.append(y)
+        if len(reached) != len(self.names):
+            raise TreeFormatError("edges do not form a connected graph (disconnected)")
+        if len(self.edges) != len(self.names) - 1:
+            raise TreeFormatError("cycle detected: edge count exceeds vertex count - 1")
+
+
+def reference_parse_tree(text: str) -> ReferenceTree:
+    """``parse_tree`` on runs of equal consecutive lines, each tokenized once."""
+    edges: list[tuple[str, str]] = []
+    singles: list[str] = []
+    lineno = 1
+    for raw, run in itertools.groupby(text.splitlines()):
+        k = len(list(run))
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            pass  # a blank or comment line
+        elif len(tokens) == 1:
+            singles.append(tokens[0])
+        elif len(tokens) == 2:
+            edges += [(tokens[0], tokens[1])] * min(k, 2)  # a second copy is a duplicate
+        else:
+            raise TreeFormatError(
+                f"line {lineno}: expected 'u v' or a bare vertex name, got {len(tokens)} tokens"
+            )
+        lineno += k
+    return ReferenceTree(edges, singles)
 
 
 def canonical_shape(t: Tree):

@@ -1,12 +1,14 @@
 """The CLI at its size limits: each command in a child interpreter, 60 s each.
 
 The inputs are a 10^5-leaf star (edges ``c v1`` ... ``c v100000``; ``v99999``
-is the last of the hub's neighbours by name) and a 10^5-vertex path. All
+is the last of the hub's neighbours by name), the same star with its lines
+shuffled and every other edge written leaf first, and a 10^5-vertex path. All
 commands run in one directory per module, so each input is written once.
 """
 
 import functools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -28,8 +30,11 @@ def cli(work: Path, *argv: str) -> subprocess.CompletedProcess:
 @pytest.fixture(scope="module")
 def work(tmp_path_factory) -> Path:
     work = tmp_path_factory.mktemp("limits")
+    shuffled = [f"v{i} c\n" if i % 2 else f"c v{i}\n" for i in range(1, 100001)]
+    random.Random(1).shuffle(shuffled)
     files = {
         "star.tree": "".join(f"c v{i}\n" for i in range(1, 100001)),
+        "shuffled.tree": "".join(shuffled),
         "demand.map": "v1 1\n",
         "dist.map": "c 3\n",
         "path.tree": "".join(f"p{i:06d} p{i + 1:06d}\n" for i in range(99999)),
@@ -61,6 +66,14 @@ def test_star_needs_no_warning(work, command):
     dist = ("--dist", "dist.map") if command == "solvable" else ()
     run = cli(work, command, "--tree", "star.tree", "--weights", "demand.map", *dist)
     assert (run.returncode, run.stderr) == (0, "")
+
+
+def test_cover_on_the_shuffled_star_prints_what_it_prints_on_the_sorted_one(work):
+    # the names' order and the hub's row come from sorting, whatever the line order and orientation
+    trees = ("star.tree", "shuffled.tree")
+    runs = [cli(work, "cover", "--tree", t, "--weights", "demand.map") for t in trees]
+    assert [(run.returncode, run.stderr) for run in runs] == [(0, "")] * 2
+    assert runs[1].stdout == runs[0].stdout
 
 
 @pytest.mark.parametrize("k", [10**5, 10**6])

@@ -23,7 +23,7 @@ from treepebble import (
     random_tree,
     serialize_tree,
 )
-from helpers import all_shapes, tree
+from helpers import ReferenceTree, all_shapes, reference_parse_tree, tree
 
 
 class TestParseTree:
@@ -66,6 +66,15 @@ class TestParseTree:
         with pytest.raises(TreeFormatError) as info:
             Tree(edges)
         assert str(info.value) == f"vertex name must be a nonempty string, got {bad!r}"
+
+    def test_str_subclass_names_accepted(self):
+        # the bulk name check must take what the per-edge check takes, or valid input would
+        # reach the error path, find no error there and be reported as disconnected
+        class S(str):
+            pass
+
+        t = Tree([(S("a"), S("b"))])
+        assert (t.names, t.edges) == (("a", "b"), (("a", "b"),))
 
     def test_first_bad_name_in_edge_order(self):
         with pytest.raises(TreeFormatError, match="'#c' starts with '#'"):
@@ -125,7 +134,7 @@ class TestLeaves:
 
 
 def test_neighbors_ascending_on_relabelled_shapes():
-    # the constructor takes rows in edge order without sorting them; pin that they come out sorted
+    # the constructor builds rows in edge order and then sorts them; pin that they come out sorted
     rng = random.Random(8)
     for shape in all_shapes(8):
         for _ in range(20):
@@ -137,6 +146,96 @@ def test_neighbors_ascending_on_relabelled_shapes():
                 row = t.neighbors(v)
                 assert list(row) == sorted(row), (edges, v)
                 assert set(row) == {x for e in edges if v in e for x in e if x != v}
+
+
+def _outcome(build, *args):
+    """The names, edges, adjacency rows and parent array ``build(*args)`` yields, or its error."""
+    try:
+        t = build(*args)
+    except Exception as error:
+        return type(error), str(error)
+    return t.names, t.edges, t._adj, t._parent
+
+
+def _edge_lists(rng: random.Random):
+    """Every shape of up to 8 vertices, relabelled, its edges shuffled and each flipped at random."""
+    for shape in all_shapes(8):
+        names = dict(zip(shape.names, (str(x) for x in rng.sample(range(1000), shape.n))))
+        edges = [(names[u], names[v]) for u, v in shape.edges]
+        rng.shuffle(edges)
+        yield [e if rng.random() < 0.5 else e[::-1] for e in edges], sorted(names.values())
+
+
+def _faults(edges, names, rng: random.Random):
+    """``(label, edges, vertices)``: the valid list, then seeded structural faults of it."""
+
+    def insert(extra):
+        at = rng.randrange(len(edges) + 1)
+        return edges[:at] + [extra] + edges[at:]
+
+    yield "valid", edges, ()
+    yield "bare names", edges, rng.sample(names, rng.randint(1, len(names)))
+    yield "an isolated bare name", edges, [*names, "z"]
+    yield "a self-loop", insert((rng.choice(names),) * 2), ()
+    if edges:
+        i = rng.randrange(len(edges))
+        u, v = edges[i]
+        yield "a duplicate", insert((u, v)), ()
+        yield "a flipped duplicate", insert((v, u)), ()
+        yield "a missing edge", edges[:i] + edges[i + 1 :], ()
+        if len(edges) > 1:
+            j = rng.choice([j for j in range(len(edges)) if j != i])
+            yield "a duplicate and a missing edge", edges[:i] + edges[i + 1 :] + [edges[j][::-1]], ()
+        present = {frozenset(e) for e in edges}
+        chords = [(a, b) for a in names for b in names if a < b and {a, b} not in present]
+        if chords:
+            yield "a cycle", insert(rng.choice(chords)), ()
+
+
+def _bad_names(edges, names, rng: random.Random):
+    """``(label, edges, vertices)``: str-subclass or int names, a bad name at one seeded place,
+    or a pair of the wrong arity."""
+
+    class S(str):
+        pass
+
+    yield "str subclass names", [(S(u), S(v)) for u, v in edges], [S(x) for x in names]
+    yield "int names", [(int(u), int(v)) for u, v in edges], [int(x) for x in names]
+    for bad in ("", "a b", "a\x1cb", "#x", 7, None, ["a"], ("a",)):
+        yield f"bare name {bad!r}", edges, [*names, bad]
+        if edges:
+            i = rng.randrange(len(edges))
+            pair = (bad, edges[i][1]) if rng.random() < 0.5 else (edges[i][0], bad)
+            yield f"name {bad!r}", edges[:i] + [pair] + edges[i + 1 :], ()
+    yield "three names in a pair", [*edges, ("a", "b", "c")], ()
+    yield "one name in a pair", [("a",), *edges], ()
+    yield "a pair that is an int", [*edges, 5], ()
+
+
+def test_constructor_matches_the_reference():
+    rng = random.Random(18)
+    for edges, names in _edge_lists(rng):
+        for label, bad_edges, vertices in [*_faults(edges, names, rng), *_bad_names(edges, names, rng)]:
+            expected = _outcome(ReferenceTree, bad_edges, vertices)
+            assert _outcome(Tree, bad_edges, vertices) == expected, (label, bad_edges, vertices)
+    empty = (TreeFormatError, "empty input: a tree needs at least one vertex")
+    assert _outcome(Tree, []) == _outcome(ReferenceTree, []) == empty
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\x0c", "\x1c"], ids=repr)
+def test_parse_tree_matches_the_reference(newline):
+    rng = random.Random(18)
+    for edges, names in _edge_lists(rng):
+        for label, bad_edges, vertices in _faults(edges, names, rng):
+            lines = [f"{u} {v}" for u, v in bad_edges] + list(vertices)
+            for _ in range(rng.randint(0, 4)):
+                extra = rng.choice(["", "  ", "# a comment", "  # u v", "#u v", *lines, "a b c"])
+                lines.insert(rng.randrange(len(lines) + 1), extra)
+            if lines and rng.random() < 0.5:  # a line repeated right after itself
+                at = rng.randrange(len(lines))
+                lines[at:at] = [lines[at]] * rng.randint(1, 3)
+            doc = newline.join(lines) + newline * rng.randint(0, 1)
+            assert _outcome(parse_tree, doc) == _outcome(reference_parse_tree, doc), (label, doc)
 
 
 class TestMinimalSubtree:
