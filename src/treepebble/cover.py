@@ -5,11 +5,12 @@ scores ``max_path_partition(tree.orient_toward((v,)))``, the tree oriented
 toward ``v``. ``cover_pebbling_number`` prices meeting a whole nonnegative
 demand map at once, as the largest score over all roots. One root's score
 is read off the maximum path partition of its remainder forest, oriented
-toward the Steiner subtree of the root and the demand, on the index arrays
-of one rooting (``s_omega_at`` and the extremal piles);
-``cover_pebbling_number`` gets every root's score in one rerooting pass
-over depths and subtree heights instead, since a partition path of size s
-is worth the 2^s - 1 that the 2^height of its non-sink vertices sum to.
+toward the Steiner subtree of the root and the demand by ``Tree._toward``,
+the one place that orients a tree toward a sink. Each path of size s is a
+pile of 2^s - 1 pebbles (``s_omega_at`` sums them, ``_extremal_at`` places
+them). ``cover_pebbling_number`` gets every root's score in one rerooting
+pass over depths and subtree heights instead, since a partition path of
+size s is worth the 2^s - 1 that the 2^height of its non-sink vertices sum to.
 ``extremal_distribution`` realizes the matching lower bound with an
 unsolvable distribution one pebble short.
 """
@@ -64,28 +65,23 @@ def t_pebbling_global(tree: Tree, k: int = 1) -> tuple[int, str]:
     return best, tree.names[values.index(best)]
 
 
-def _root_terms(tree: Tree, weights: WeightFunction, v: str) -> tuple[int, list[list[int]]]:
-    """Demand term of root ``v`` and the paths of its remainder forest.
+def _root_terms(tree: Tree, weights: WeightFunction, v: str) -> tuple[int, list[tuple[str, int]]]:
+    """Demand term of root ``v`` and the piles of its remainder forest.
 
     The remainder forest is everything outside the minimal subtree spanning
-    ``v`` and the demand support, each vertex pointing to its parent toward
-    ``v``; the paths are its maximum partition, as vertex indices.
+    ``v`` and the demand support, oriented toward it; each path of its
+    maximum partition is a pile of 2^size - 1 pebbles on its source, longest first.
     """
     root = tree._require(v)
     support = [(tree._require(u), k) for u, k in weights.items()]
-    order, out, depth = tree._rooting(root)
-    for x, _ in support:
-        # walk toward the root up to the sink built so far; sink vertices have no arc
-        while out[x] >= 0:
-            step = out[x]
-            out[x] = -1
-            x = step
+    order, out, depth = tree._toward(root, [x for x, _ in support])
     total = 0
     for i, k in support:
         total = checked(
             total + checked(k * pow2(depth[i], "demand term"), "demand term"), "cover score"
         )
-    return total, long_paths(out, order)
+    paths = long_paths(out, order)
+    return total, [(tree.names[p[0]], pow2(len(p) - 1, "remainder term") - 1) for p in paths]
 
 
 def s_omega_at(tree: Tree, weights: WeightFunction, v: str) -> int:
@@ -97,9 +93,9 @@ def s_omega_at(tree: Tree, weights: WeightFunction, v: str) -> int:
     """
     if not weights.support:
         raise ValueError("demand has empty support")
-    total, paths = _root_terms(tree, weights, v)
-    for path in paths:
-        total = checked(total + pow2(len(path) - 1, "remainder term") - 1, "cover score")
+    total, piles = _root_terms(tree, weights, v)
+    for _, pile in piles:
+        total = checked(total + pile, "cover score")
     return total
 
 
@@ -181,8 +177,7 @@ def _extremal_at(tree: Tree, weights: WeightFunction, root: str) -> Distribution
     Each remainder path gets 2^size - 1 pebbles on its source endpoint, and
     the root gets the demand term minus one.
     """
-    demand, paths = _root_terms(tree, weights, root)
-    piles = [(tree.names[p[0]], pow2(len(p) - 1, "extremal pile") - 1) for p in paths]
+    demand, piles = _root_terms(tree, weights, root)
     return Distribution(piles + [(root, demand - 1)])
 
 

@@ -8,8 +8,8 @@ pure function of its inputs and safe to share across threads.
 ``Tree.edges`` is derived on demand. A tree is validated by bulk name
 checks, its edge count and one rooting; the per-edge loop runs only on
 rejected input, to choose the message.
-``Tree.orient_toward`` builds the ``DirectedForest`` of a tree toward a sink
-subtree, the view that ``max_path_partition`` reads, from one rooting.
+``Tree._toward`` is the one place that orients a tree toward a sink subtree;
+``orient_toward``, ``minimal_subtree`` and cover's per-root scorer read it.
 
 File formats (UTF-8, newline separated, full-line '#' comments):
 
@@ -163,20 +163,24 @@ class Tree:
 
     # -- subtrees and orientations --------------------------------------
 
+    def _toward(self, root: int, sink: Iterable[int]) -> tuple[list[int], list[int], list[int]]:
+        """``_rooting(root)`` with -1 for parent on the subtree spanning ``root`` and ``sink``."""
+        order, out, depth = self._rooting(root)
+        for x in sink:
+            while out[x] >= 0:  # walk up to the subtree cut so far
+                out[x], x = -1, out[x]
+        return order, out, depth
+
     def minimal_subtree(self, v: str, others: Iterable[str] = ()) -> "Tree":
         """Smallest connected subtree containing ``v`` and all of ``others``.
 
         With no extra vertices this is the single-vertex tree on ``v``.
         """
         iv = self._require(v)
-        targets = [self._require(u) for u in others]
-        parent = self._rooting(iv)[1]
-        keep: set[int] = {iv}
-        for x in targets:
-            while x not in keep:
-                keep.add(x)
-                x = parent[x]
-        return Tree([(self.names[x], self.names[parent[x]]) for x in keep if x != iv], (v,))
+        out, parent = self._toward(iv, [self._require(u) for u in others])[1], self._parent
+        # the edges x - parent[x] with both ends in the subtree; out[-1] would read the last vertex
+        keep = [x for x, p in enumerate(parent) if p >= 0 and out[x] < 0 and out[p] < 0]
+        return Tree([(self.names[x], self.names[parent[x]]) for x in keep], (v,))
 
     def orient_toward(self, sink: Iterable[str]) -> "DirectedForest":
         """Direct every edge outside ``sink`` one step along its path into ``sink``.
@@ -187,14 +191,11 @@ class Tree:
         sink_names = sorted(set(sink))
         if not sink_names:
             raise ValueError("sink must contain at least one vertex")
-        idxs = {self._require(name) for name in sink_names}
-        # rooted inside the sink, every other sink vertex must hang from one,
-        # and every vertex outside steps toward the sink through its parent
-        order, out, _ = self._rooting(min(idxs))
-        if any(out[i] >= 0 and out[i] not in idxs for i in idxs):
+        idxs = [self._require(name) for name in sink_names]
+        # rooted inside the sink, the subtree spanning it is the sink iff the sink is connected
+        order, out, _ = self._toward(idxs[0], idxs)
+        if out.count(-1) != len(idxs):
             raise ValueError("sink is not connected inside the tree")
-        for i in idxs:
-            out[i] = -1
         return DirectedForest(self, tuple(sink_names), out, order)
 
     # -- dunder --------------------------------------------------------
@@ -214,8 +215,8 @@ class Tree:
 class DirectedForest:
     """Arcs of a host tree, each pointing one step toward a sink subtree.
 
-    ``Tree.orient_toward`` builds it from one rooting inside the sinks: the
-    arcs are the parent array with every sink set to -1 (no arc), and the
+    ``Tree.orient_toward`` builds it from ``Tree._toward`` rooted inside the
+    sinks: the arcs are the parent array with every sink set to -1 (no arc), and the
     rooting's post-order lists every vertex after all vertices whose arcs
     point to it.
     """

@@ -12,6 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from operator import mul
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from treepebble import (
@@ -308,6 +309,39 @@ def majorize_cmp(x: Sequence[int], y: Sequence[int]) -> int:
     return 0
 
 
+def reference_steiner(t: Tree, terminals: Iterable[str]) -> set[str]:
+    """Vertices of the smallest subtree holding the nonempty ``terminals``: every other
+    leaf is pruned, one at a time, until none is left."""
+    keep = set(terminals)
+    adj = {v: set(t.neighbors(v)) for v in t.names}
+    leaves = [v for v in t.names if len(adj[v]) == 1 and v not in keep]
+    while leaves:
+        leaf = leaves.pop()
+        (u,) = adj.pop(leaf)
+        adj[u].discard(leaf)
+        if len(adj[u]) == 1 and u not in keep:
+            leaves.append(u)
+    return set(adj)
+
+
+def reference_orient(t: Tree, sink: Iterable[str]) -> SimpleNamespace:
+    """The sorted ``arcs`` of ``t`` toward the connected ``sink``, each vertex outside
+    pointing to the neighbour a breadth-first search out of ``sink`` reached it from."""
+    reached = set(sink)
+    frontier = sorted(reached)
+    arcs = []
+    while frontier:
+        grown = []
+        for x in frontier:
+            for y in t.neighbors(x):
+                if y not in reached:
+                    reached.add(y)
+                    arcs.append((y, x))
+                    grown.append(y)
+        frontier = grown
+    return SimpleNamespace(arcs=tuple(sorted(arcs)))
+
+
 def reference_s_omega(t: Tree, weights: WeightFunction, v: str) -> tuple[int, PathPartition]:
     """Score of root ``v`` from the Steiner subtree, its orientation and the greedy.
 
@@ -315,7 +349,7 @@ def reference_s_omega(t: Tree, weights: WeightFunction, v: str) -> tuple[int, Pa
     package, so an overflow reports the same message.
     """
     dist = t.distances_from(v)
-    part = greedy_partition(t.orient_toward(t.minimal_subtree(v, weights.support).names))
+    part = greedy_partition(reference_orient(t, reference_steiner(t, (v, *weights.support))))
     total = 0
     for u, k in weights.items():
         total = checked(total + checked(k * pow2(dist[u], "demand term"), "demand term"), "cover score")

@@ -68,6 +68,21 @@ def test_star_needs_no_warning(work, command):
     assert (run.returncode, run.stderr) == (0, "")
 
 
+def test_partition_toward_the_hub(work):
+    # one sink vertex: orienting checks the sink by counting the cut arcs of all 10^5 + 1 vertices
+    run = cli(work, "partition", "--tree", "star.tree", "--root", "c")
+    assert (run.returncode, run.stderr) == (0, "")
+    lines = run.stdout.splitlines()
+    assert lines[:1] == ["# partition root=c"] and len(lines) == 2 + 10**5
+
+
+def test_tpebble_at_a_leaf(work):
+    # one path v10 -> c -> v1 of 2 arcs and 99998 single arcs: 2 * 2^2 + 99998 * 2^1 - 99999 + 1
+    run = cli(work, "tpebble", "--tree", "star.tree", "--root", "v1", "-t", "2")
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.splitlines()[:2] == ["# tpebble root=v1 t=2", "value 100006"]
+
+
 def test_cover_on_the_shuffled_star_prints_what_it_prints_on_the_sorted_one(work):
     # the names' order and the hub's row come from sorting, whatever the line order and orientation
     trees = ("star.tree", "shuffled.tree")

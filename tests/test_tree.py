@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import re
@@ -23,7 +24,14 @@ from treepebble import (
     random_tree,
     serialize_tree,
 )
-from helpers import ReferenceTree, all_shapes, reference_parse_tree, tree
+from helpers import (
+    ReferenceTree,
+    all_shapes,
+    reference_orient,
+    reference_parse_tree,
+    reference_steiner,
+    tree,
+)
 
 
 class TestParseTree:
@@ -261,6 +269,26 @@ class TestMinimalSubtree:
         for leaf in sub.leaves():
             assert leaf in {"a", "d", "e"}
 
+    def test_matches_leaf_pruning_on_all_small_trees(self):
+        # others may repeat a vertex or name v itself
+        rng = random.Random(1989)
+        for t in all_shapes(7):
+            for v in t.names:
+                others = rng.choices(t.names, k=rng.randint(0, t.n))
+                sub = t.minimal_subtree(v, others)
+                keep = reference_steiner(t, [v, *others])
+                assert set(sub.names) == keep
+                assert set(sub.edges) == {(a, b) for a, b in t.edges if a in keep and b in keep}
+
+
+def _connected(t, subset) -> bool:
+    """Whether ``subset`` induces a connected subgraph of ``t``, by breadth-first search."""
+    reached, frontier = {min(subset)}, [min(subset)]
+    while frontier:
+        frontier = [y for x in frontier for y in t.neighbors(x) if y in subset and y not in reached]
+        reached.update(frontier)
+    return reached == set(subset)
+
 
 class TestOrientToward:
     def test_star_partial_sink(self):
@@ -333,6 +361,27 @@ class TestOrientToward:
                     for src, dst in f.arcs:
                         assert position[t.index[src]] < position[t.index[dst]]
                     assert f.arc_count == t.n - len(sink)
+
+    def test_rejects_exactly_the_disconnected_sinks(self):
+        # every nonempty vertex subset of every tree up to 6 vertices
+        counts = {True: 0, False: 0}
+        for t in all_shapes(6):
+            for r in range(1, t.n + 1):
+                for sink in itertools.combinations(t.names, r):
+                    connected = _connected(t, sink)
+                    counts[connected] += 1
+                    if not connected:
+                        with pytest.raises(ValueError, match="not connected"):
+                            t.orient_toward(sink)
+                        continue
+                    f = t.orient_toward(sink)
+                    assert f.arcs == reference_orient(t, sink).arcs
+                    assert f.arc_count == t.n - len(sink)
+                    position = {x: i for i, x in enumerate(f._order)}
+                    assert sorted(position) == list(range(t.n))
+                    for src, dst in f.arcs:
+                        assert position[t.index[src]] < position[t.index[dst]]
+        assert min(counts.values()) > 0, counts
 
 
 class TestVertexValues:
