@@ -5,10 +5,13 @@ depth-first search over the states reachable by legal pebbling moves (each
 move burns one pebble, so the search terminates), memoizing verdicts across
 start states. The cover number is re-derived by scanning distribution sizes
 upward until every distribution of a size is solvable. Nothing here consults
-path partitions or score formulas; the only shortcuts are necessary
-conditions derived directly from the move definition, plus the leaf-support
-restriction for witness hunting (a maximum-size unsolvable distribution
-always exists with all pebbles on leaves).
+path partitions or score formulas. The search has two shortcuts, both
+derived directly from the move definition: a weighted-sum cut of hopeless
+states, and an arc restriction that never moves a pebble into a branch
+without demand. It tries the nearest approaching move first, an order that
+changes no verdict. The size scan adds the leaf-support restriction for
+witness hunting (a maximum-size unsolvable distribution always exists with
+all pebbles on leaves).
 
 Each search state is one int: a count field per vertex, a met field per
 demanded vertex and a filter field per weighted sum, each biased so that
@@ -46,14 +49,35 @@ def _solver(
 ) -> tuple[Callable[[int], bool], int, list[int], Callable[[int], list[int]]]:
     """``solve(x)``: can some move sequence from packed state ``x`` meet the demand?
 
-    One rule prunes: a state is hopeless when some weighted pebble sum
-    sum_x c_x * w_x is below the demand's own sum_x demand_x * w_x, for a
-    row w that changes by at most a factor 2 across every edge. A move
-    u -> v changes that sum by w_v - 2*w_u <= 0, so it never grows, and a
-    state meeting the demand holds at least the demand's sum. The rows are
-    all ones (the pebble total) and, per demanded j, 2^{-d(x, j)} scaled by
-    2^{max d} to stay in integers. All calls share one memo, capped at
-    ``MEMO_LIMIT`` states.
+    Two shortcuts, neither of which changes a verdict. The cut: a state is
+    hopeless when some weighted pebble sum sum_x c_x * w_x is below the
+    demand's own sum_x demand_x * w_x, for a row w that changes by at most a
+    factor 2 across every edge. A move u -> v changes that sum by
+    w_v - 2*w_u <= 0, so it never grows, and a state meeting the demand
+    holds at least the demand's sum. The rows are all ones (the pebble
+    total) and, per demanded j, 2^{-d(x, j)} scaled by 2^{max d} to stay in
+    integers.
+
+    The arcs: a move u -> v is tried only when v's side B of the edge uv
+    holds a demanded vertex, that is d(v, j) < d(u, j) for some demanded j.
+    Take a solution from any state with the fewest moves. By the No-Cycle
+    Lemma (Milans and Clark, "The complexity of graph pebbling", 2006) its
+    moves form no directed cycle, which on a tree means no edge is used
+    both ways. Say it moves u -> v into a B without demand. It makes no
+    move v -> u, so no pebble leaves B. Delete every u -> v move and every
+    move inside B. A vertex outside B then sees the same moves in the same
+    order, except that u keeps two more pebbles per deleted move, so every
+    kept move is still legal and the end state outside B is no smaller.
+    All demand lies outside B, so this shorter sequence is still a
+    solution, a contradiction. Every state's verdict is therefore the same
+    over the restricted arcs, and memoized verdicts mean the same either way.
+
+    Arcs are tried nearest first: by the distance from u to the nearest
+    demanded vertex the move approaches, then by the most demand it
+    approaches, ties in (u, v) order. A verdict is a property of the state
+    and the states form an acyclic graph (each move burns a pebble), so the
+    order changes how soon a search ends and which states it visits, never
+    a verdict. All calls share one memo, capped at ``MEMO_LIMIT`` states.
 
     A state of at most ``size`` pebbles is one int of fields. Each field is
     a sum v = sum_x c_x * r_x held against a threshold t and stored as
@@ -72,8 +96,9 @@ def _solver(
     support = [j for j, d in enumerate(demand) if d]
     eye = [[int(x == i) for x in range(n)] for i in range(n)]
     fields = [(row, 2) for row in eye] + [(eye[j], demand[j]) for j in support]
+    drows = [tree._rooting(j)[2] for j in support]
     # the all-zero distance row weighs every vertex 2^0 = 1
-    for drow in [[0] * n] + [tree._rooting(j)[2] for j in support]:
+    for drow in [[0] * n] + drows:
         top = max(drow)
         row = [1 << (top - d) for d in drow]
         fields.append((row, sum(map(mul, demand, row))))
@@ -91,18 +116,31 @@ def _solver(
         # hash as their sum: no field is a multiple of 61 bits wide
         shift += width + (width % sys.hash_info.modulus.bit_length() == 0)
     met, cut = sum(bits[n : n + len(support)]), sum(bits[n + len(support) :])
-    steps = [(bits[u], unit[v] - 2 * unit[u]) for u in range(n) for v in adj[u]]
+    arcs = []
+    for u in range(n):
+        for v in adj[u]:
+            # the demanded vertices on v's side of the edge, and their distance from u
+            ahead = [(drow[u], demand[j]) for j, drow in zip(support, drows) if drow[v] < drow[u]]
+            if ahead:
+                arcs.append((min(ahead)[0], -sum(d for _, d in ahead), u, v))
+    arcs.sort()  # ties in (u, v) order
+    steps = [(bits[u], unit[v] - 2 * unit[u]) for _, _, u, v in arcs]
     memo: dict[int, bool] = {}
+    lookup = memo.get
+
+    def full() -> BudgetExceededError:
+        return BudgetExceededError(f"solvability memo exceeded {MEMO_LIMIT} states")
 
     def remember(state: int, verdict: bool) -> bool:
         if len(memo) >= MEMO_LIMIT:  # no state is written twice
-            raise BudgetExceededError(f"solvability memo exceeded {MEMO_LIMIT} states")
+            raise full()
         memo[state] = verdict
         return verdict
 
     def solve(start: int) -> bool:
-        if start in memo:
-            return memo[start]
+        verdict = lookup(start)
+        if verdict is not None:
+            return verdict
         if start & met == met:
             return True  # a met start is never memoized: it costs no search
         if start & cut != cut:
@@ -114,19 +152,29 @@ def _solver(
                 if not state & bit:
                     continue
                 nxt = state + step
-                verdict = memo.get(nxt)
+                verdict = lookup(nxt)
                 if verdict is None:
+                    # remember(), inlined: this loop runs once per move tried
                     if nxt & met == met:
-                        verdict = remember(nxt, True)
+                        if len(memo) >= MEMO_LIMIT:
+                            raise full()
+                        memo[nxt] = verdict = True
                     elif nxt & cut != cut:
-                        verdict = remember(nxt, False)
+                        if len(memo) >= MEMO_LIMIT:
+                            raise full()
+                        memo[nxt] = False
+                        continue
                     else:
                         frames.append((nxt, iter(steps)))
                         break
                 if verdict:
-                    # the whole stack is a chain of moves reaching a met demand
+                    # the whole stack is a chain of moves reaching a met demand;
+                    # its states are distinct and new, so one check stands for
+                    # the check before each write
+                    if len(memo) + len(frames) > MEMO_LIMIT:
+                        raise full()
                     for s, _ in frames:
-                        remember(s, True)
+                        memo[s] = True
                     return True
             else:
                 remember(state, False)
@@ -161,13 +209,38 @@ def brute_solvable(
 
 def _packed_compositions(total: int, units: list[int], base: int) -> Iterator[int]:
     """``base`` plus sum_i c_i * units[i] over the weak compositions c of ``total``,
-    first coordinate descending. Every tree has a leaf, so ``units`` is never empty."""
-    head, *rest = units
-    if not rest:
-        yield base + total * head
+    first coordinate descending. Every tree has a leaf, so ``units`` is never empty.
+
+    An odometer over all coordinates but the final one, whose last (the
+    pivot) holds what the others leave: each reading yields every split of
+    the pivot's pebbles with the final coordinate, then takes one pebble off
+    the last nonzero coordinate before the pivot and moves it, with the
+    pivot's pebbles, to the coordinate after it.
+    """
+    *odometer, final = units
+    if not odometer:
+        yield base + total * final
         return
-    for first in range(total, -1, -1):
-        yield from _packed_compositions(total - first, rest, base + first * head)
+    pivot = len(odometer) - 1
+    step = final - odometer[pivot]
+    counts = [total] + [0] * pivot
+    state = base + total * odometer[0]
+    while True:
+        rest = counts[pivot]
+        split = state
+        yield split
+        for _ in range(rest):
+            split += step
+            yield split
+        i = pivot - 1
+        while i >= 0 and not counts[i]:
+            i -= 1
+        if i < 0:
+            return
+        counts[i] -= 1
+        counts[pivot] = 0
+        counts[i + 1] = rest + 1
+        state += (rest + 1) * odometer[i + 1] - rest * odometer[pivot] - odometer[i]
 
 
 def _composition_count(total: int, parts: int) -> int:

@@ -433,13 +433,16 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 def reference_solver(
     tree: Tree, weights: WeightFunction, prune: bool
 ) -> Callable[[tuple[int, ...]], bool]:
-    """The oracle's search on tuple states, the reference for its packed ints.
+    """An exhaustive search on tuple states, the reference for the oracle's packed ints.
 
-    ``solve(state)`` takes the counts indexed like ``tree.names``. It prunes
-    by the same rule as the oracle: a state is hopeless when the pebble
-    total, or per demanded j the sum weighted 2^{max d - d(x, j)}, is below
-    the demand's own sum under the same weights. It makes the same memo
-    writes in the same order, under the same ``MEMO_LIMIT``.
+    ``solve(state)`` takes the counts indexed like ``tree.names`` and tries
+    every move, in (u, v) index order. With ``prune`` it cuts by the same
+    rule as the oracle: a state is hopeless when the pebble total, or per
+    demanded j the sum weighted 2^{max d - d(x, j)}, is below the demand's
+    own sum under the same weights. Without it, it searches the raw move
+    space. It does not restrict or reorder the moves as the oracle does, so
+    only its verdicts match the oracle's; its memo is capped by the same
+    ``MEMO_LIMIT``.
     """
     n, adj = tree.n, tree._adj
     demand = tuple(weights.row(tree))

@@ -1,6 +1,7 @@
 import json
 import random
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from treepebble import (
 )
 from helpers import (
     all_shapes,
+    compositions,
     enumerate_distributions,
     random_distribution,
     random_weights,
@@ -90,6 +92,29 @@ class TestBudgets:
         monkeypatch.setattr(oracle, "MEMO_LIMIT", 5)
         with pytest.raises(BudgetExceededError, match="^solvability memo exceeded 5 states$"):
             verify_gamma(tree(self.PATH), WeightFunction({"v3": 1}))
+
+    @pytest.mark.parametrize(
+        "dist,demand,verdict,states",
+        [
+            ({"v0": 1, "v1": 3, "v2": 3, "v4": 4}, {"v2": 1, "v3": 1, "v4": 1}, True, 26),
+            ({"v2": 4, "v4": 2}, {"v1": 1, "v2": 1, "v4": 1}, False, 15),
+        ],
+    )
+    def test_memo_limit_has_one_threshold(self, monkeypatch, dist, demand, verdict, states):
+        # the budget is checked before every memo write, so a search that
+        # writes `states` states raises under every smaller cap and answers
+        # under the rest
+        star, d, w = tree("v0 v1;v0 v2;v0 v3;v0 v4"), Distribution(dist), WeightFunction(demand)
+        assert brute_solvable(star, d, w) == verdict
+        outcomes = []
+        for m in range(1, 41):
+            monkeypatch.setattr(oracle, "MEMO_LIMIT", m)
+            try:
+                outcomes.append(brute_solvable(star, d, w))
+            except BudgetExceededError as error:
+                assert str(error) == f"solvability memo exceeded {m} states"
+                outcomes.append(None)
+        assert outcomes == [None] * (states - 1) + [verdict] * (41 - states)
 
     def test_start_cut_by_the_demand_weighted_sum(self, monkeypatch):
         # row a weighs a, b, c, d as 4, 2, 1, 1: the start holds 4, and meeting
@@ -258,6 +283,33 @@ def test_packed_solver_matches_reference():
                 assert got == expected, (t.edges, dict(d.items()), dict(w.items()), prune)
                 checked += 1
     assert checked == 3000
+
+
+def test_arc_restriction_matches_the_raw_move_space():
+    # the oracle never moves a pebble into a branch without demand; the
+    # reference without the cut tries every move, so this checks both
+    # shortcuts on every start, through one shared memo per instance
+    cases = 0
+    for t in all_shapes(5):
+        for w in weight_functions(t, max_entry=2, max_total=3):
+            solve, zero, unit, _ = oracle._solver(t, w, 7)
+            expected = reference_solver(t, w, prune=False)
+            for size in range(8):
+                for counts in compositions(size, t.n):
+                    got = solve(zero + sum(map(mul, counts, unit)))
+                    assert got == expected(counts), (t.edges, counts, dict(w.items()))
+                    cases += 1
+    assert cases == 140_788
+
+
+def test_packed_compositions_follow_the_reference_order():
+    t = random_tree(7, 1)
+    _, zero, unit, _ = oracle._solver(t, WeightFunction({t.names[0]: 1}), 8)
+    for parts in range(1, 8):
+        units = unit[:parts]
+        for total in range(9):
+            expected = [zero + sum(map(mul, c, units)) for c in compositions(total, parts)]
+            assert list(oracle._packed_compositions(total, units, zero)) == expected
 
 
 def test_packed_states_hash_apart_at_wide_fields():
