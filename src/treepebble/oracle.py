@@ -11,7 +11,13 @@ states, and an arc restriction that never moves a pebble into a branch
 without demand. It tries the nearest approaching move first, an order that
 changes no verdict. The size scan adds the leaf-support restriction for
 witness hunting (a maximum-size unsolvable distribution always exists with
-all pebbles on leaves).
+all pebbles on leaves), and climbs: unsolvable distributions are closed
+downward (a move open to a distribution is open to every larger one), so
+the scan first tries the last size's unsolvable witness plus one leaf
+pebble, and enumerates a size in full only when every such extension is
+solvable. That always happens at the cover number itself, which is still
+decided by a full scan. A report's ``distributions_checked`` counts every
+start state tried, extensions included.
 
 Each search state is one int: a count field per vertex, a met field per
 demanded vertex and a filter field per weighted sum, each biased so that
@@ -77,7 +83,8 @@ def _solver(
     approaches, ties in (u, v) order. A verdict is a property of the state
     and the states form an acyclic graph (each move burns a pebble), so the
     order changes how soon a search ends and which states it visits, never
-    a verdict. All calls share one memo, capped at ``MEMO_LIMIT`` states.
+    a verdict. All calls share one memo, capped at ``MEMO_LIMIT`` states. It
+    holds only states that are not met: a met state is decided by one mask.
 
     A state of at most ``size`` pebbles is one int of fields. Each field is
     a sum v = sum_x c_x * r_x held against a threshold t and stored as
@@ -142,7 +149,7 @@ def _solver(
         if verdict is not None:
             return verdict
         if start & met == met:
-            return True  # a met start is never memoized: it costs no search
+            return True
         if start & cut != cut:
             return remember(start, False)
         frames = [(start, iter(steps))]
@@ -154,11 +161,10 @@ def _solver(
                 nxt = state + step
                 verdict = lookup(nxt)
                 if verdict is None:
-                    # remember(), inlined: this loop runs once per move tried
+                    # remember(), inlined: this loop runs once per move tried;
+                    # a met state costs one mask, so it is never memoized
                     if nxt & met == met:
-                        if len(memo) >= MEMO_LIMIT:
-                            raise full()
-                        memo[nxt] = verdict = True
+                        verdict = True
                     elif nxt & cut != cut:
                         if len(memo) >= MEMO_LIMIT:
                             raise full()
@@ -284,11 +290,27 @@ def verify_gamma(
 
     Scans distribution sizes upward over leaf supports until a size has no
     unsolvable distribution, keeping the largest unsolvable one found as the
-    witness. The resulting candidate is then confirmed over all-vertex
-    supports whenever that enumeration stays within ``FULL_CONFIRM_LIMIT``
-    (otherwise the leaf-support scan stands, which is where a maximum-size
-    unsolvable distribution is guaranteed to live). Status is MISMATCH when
-    formula and oracle disagree; callers must treat that as a failure.
+    witness. The scan climbs: size k+1 first tries the size-k witness plus
+    one pebble on each leaf, in leaf order, and keeps the first unsolvable
+    one. Unsolvable distributions are closed downward, since every move
+    sequence open to a distribution is open to it with a pebble more. So
+    every unsolvable leaf distribution of size k+1 extends one of size k,
+    and the last witness's extensions are the first place to look. An
+    unsolvable extension proves k+1 < gamma; when every extension is
+    solvable, the scan enumerates every leaf composition of size k+1 in
+    lex order, as at gamma itself. Each size thus gets the verdict of a
+    full scan, and gamma, the status and the confirmation with it, though
+    the witness may be another distribution of size gamma - 1. The
+    resulting candidate is then confirmed over all-vertex supports whenever
+    that enumeration stays within ``FULL_CONFIRM_LIMIT`` (otherwise the
+    leaf-support scan stands, which is where a maximum-size unsolvable
+    distribution is guaranteed to live). Status is MISMATCH when formula
+    and oracle disagree; callers must treat that as a failure.
+
+    ``distributions_checked`` counts every start state passed to the
+    solver: extensions, compositions and the confirmation. Each size is
+    held to ``ENUM_LIMIT`` by its full composition count before it is
+    tried, and to ``max_pebbles``, one size at a time.
     """
     started = time.perf_counter()
     if tree.n > MAX_VERTICES:
@@ -297,29 +319,34 @@ def verify_gamma(
     solve, zero, all_units, row_of = _solver(tree, weights, max(max_pebbles, 0))
     checked_count = 0
 
-    def first_unsolvable(size: int, units: list[int]) -> int | None:
+    def first_unsolvable(size: int, units: list[int], seed: int | None) -> int | None:
         nonlocal checked_count
         count = _composition_count(size, len(units))
         if count > ENUM_LIMIT:
             raise BudgetExceededError(
                 f"{count} distributions of size {size} exceed enumeration limit {ENUM_LIMIT}"
             )
-        for state in _packed_compositions(size, units, zero):
-            checked_count += 1
-            if not solve(state):
-                return state
+        # the seed's extensions by one pebble first, then every composition
+        extensions = [] if seed is None else [seed + unit for unit in units]
+        for states in (extensions, _packed_compositions(size, units, zero)):
+            for state in states:
+                checked_count += 1
+                if not solve(state):
+                    return state
         return None
 
     units = leaf_units = [all_units[tree.index[name]] for name in tree.leaves()]
-    witness_state: int | None = None
+    witness_state = climb = None
     k = 0
     confirmation = "full"
     # a zero demand scans no size; a failed confirmation resumes the leaf scan
     while weights.support:
         if k > max_pebbles:
             raise BudgetExceededError(f"size scan passed max_pebbles={max_pebbles}")
-        bad = first_unsolvable(k, units)
+        bad = first_unsolvable(k, units, climb)
         if bad is not None:
+            # only a leaf witness is extended, so every climbed state stays on leaves
+            climb = bad if units is leaf_units else None
             witness_state, k, units = bad, k + 1, leaf_units
         elif units is all_units:
             break
@@ -327,7 +354,7 @@ def verify_gamma(
             confirmation = "leaves"
             break
         else:
-            units = all_units
+            units, climb = all_units, None
 
     witness = None if witness_state is None else Distribution.from_row(tree, row_of(witness_state))
     formula = cover_pebbling_number(tree, weights).gamma

@@ -24,6 +24,7 @@ from treepebble import (
     Tree,
     TreeFormatError,
     WeightFunction,
+    cover_pebbling_number,
     oracle,
     partition_score,
 )
@@ -505,6 +506,68 @@ def reference_solver(
         return False
 
     return solve
+
+
+def reference_verify_gamma(
+    tree: Tree, weights: WeightFunction, *, max_pebbles: int = 512
+) -> SimpleNamespace:
+    """The oracle's size scan as it was before it climbed: every size in full.
+
+    Scans sizes 0, 1, 2, ... over leaf supports, each in lex order from its
+    first composition, until a size has no unsolvable distribution, then
+    confirms that size over all supports as ``verify_gamma`` does. It shares
+    the oracle's packed solver, so a memo cap raises the same message here,
+    and reads ``ENUM_LIMIT``, ``MEMO_LIMIT`` and ``FULL_CONFIRM_LIMIT`` from
+    the module at call time. Returns the report's ``formula_gamma``,
+    ``oracle_gamma``, ``status`` and ``confirmation``, its ``witness`` (a
+    ``Distribution`` or None) and ``distributions_checked``.
+    """
+    if tree.n > oracle.MAX_VERTICES:
+        raise BudgetExceededError(
+            f"tree has {tree.n} vertices, oracle bound is {oracle.MAX_VERTICES}"
+        )
+    solve, zero, all_units, row_of = oracle._solver(tree, weights, max(max_pebbles, 0))
+    checked_count = 0
+
+    def first_unsolvable(size: int, units: list[int]) -> int | None:
+        nonlocal checked_count
+        count = _composition_count(size, len(units))
+        if count > oracle.ENUM_LIMIT:
+            raise BudgetExceededError(
+                f"{count} distributions of size {size} exceed enumeration limit {oracle.ENUM_LIMIT}"
+            )
+        for state in oracle._packed_compositions(size, units, zero):
+            checked_count += 1
+            if not solve(state):
+                return state
+        return None
+
+    units = leaf_units = [all_units[tree.index[name]] for name in tree.leaves()]
+    witness_state: int | None = None
+    k = 0
+    confirmation = "full"
+    while weights.support:
+        if k > max_pebbles:
+            raise BudgetExceededError(f"size scan passed max_pebbles={max_pebbles}")
+        bad = first_unsolvable(k, units)
+        if bad is not None:
+            witness_state, k, units = bad, k + 1, leaf_units
+        elif units is all_units:
+            break
+        elif _composition_count(k, tree.n) > oracle.FULL_CONFIRM_LIMIT:
+            confirmation = "leaves"
+            break
+        else:
+            units = all_units
+    formula = cover_pebbling_number(tree, weights).gamma
+    return SimpleNamespace(
+        formula_gamma=formula,
+        oracle_gamma=k,
+        status="PASS" if formula == k else "MISMATCH",
+        witness=None if witness_state is None else Distribution.from_row(tree, row_of(witness_state)),
+        confirmation=confirmation,
+        distributions_checked=checked_count,
+    )
 
 
 def enumerate_distributions(

@@ -26,6 +26,7 @@ from helpers import (
     random_distribution,
     random_weights,
     reference_solver,
+    reference_verify_gamma,
     tree,
     weight_functions,
 )
@@ -96,14 +97,15 @@ class TestBudgets:
     @pytest.mark.parametrize(
         "dist,demand,verdict,states",
         [
-            ({"v0": 1, "v1": 3, "v2": 3, "v4": 4}, {"v2": 1, "v3": 1, "v4": 1}, True, 26),
+            ({"v0": 1, "v1": 3, "v2": 3, "v4": 4}, {"v2": 1, "v3": 1, "v4": 1}, True, 25),
             ({"v2": 4, "v4": 2}, {"v1": 1, "v2": 1, "v4": 1}, False, 15),
         ],
     )
     def test_memo_limit_has_one_threshold(self, monkeypatch, dist, demand, verdict, states):
         # the budget is checked before every memo write, so a search that
         # writes `states` states raises under every smaller cap and answers
-        # under the rest
+        # under the rest; met states are never written, so a search that
+        # answers False writes the same states with or without that rule
         star, d, w = tree("v0 v1;v0 v2;v0 v3;v0 v4"), Distribution(dist), WeightFunction(demand)
         assert brute_solvable(star, d, w) == verdict
         outcomes = []
@@ -214,7 +216,7 @@ class TestVerifyGamma:
             for w in weight_functions(t, max_entry=2, max_total=4)
         ]
         assert len(reports) == 130
-        assert sum(r.distributions_checked for r in reports) == 83_040
+        assert sum(r.distributions_checked for r in reports) == 79_541
         for r in reports:
             assert r.confirmation == "full"
             assert r.unsolvable_witness.size == r.oracle_gamma - 1
@@ -223,6 +225,108 @@ class TestVerifyGamma:
         p6 = tree("a b;b c;c d;d e;e f")
         with pytest.raises(BudgetExceededError, match="max_pebbles"):
             verify_gamma(p6, WeightFunction({"a": 2, "f": 2}), max_pebbles=10)
+
+
+def _scan_cases():
+    # every demand up to 5 vertices, the zero demand included, and seeded
+    # demands at 6 and 7 vertices
+    cases = [
+        (t, w)
+        for t in all_shapes(5)
+        for w in [WeightFunction({}), *weight_functions(t, max_entry=2, max_total=4)]
+    ]
+    rng = random.Random(20261020)
+    for n in (6, 7):
+        for _ in range(8):
+            t = random_tree(n, rng.randrange(2**32))
+            cases.append((t, random_weights(t, rng.randint(1, 3), rng)))
+    return cases
+
+
+SCAN_CASES = _scan_cases()
+
+
+def _decisions(report):
+    return report.formula_gamma, report.oracle_gamma, report.status, report.confirmation
+
+
+def _outcome(scan, t, w, **kwargs):
+    """What a size scan decides, or the type and message of the error it raised."""
+    try:
+        return _decisions(scan(t, w, **kwargs))
+    except BudgetExceededError as error:
+        return type(error), str(error)
+
+
+class TestClimbAgainstTheReferenceScan:
+    """The climb certifies sizes below gamma by extending the last witness;
+    the reference scans every size in lex order. Both must decide the same."""
+
+    def test_same_decisions_and_a_largest_unsolvable_witness(self):
+        assert len(SCAN_CASES) == 8 + 415 + 16
+        for t, w in SCAN_CASES:
+            got, ref = verify_gamma(t, w), reference_verify_gamma(t, w)
+            case = (t.edges, dict(w.items()))
+            assert _decisions(got) == _decisions(ref), case
+            assert got.status == "PASS", case
+            witness = got.unsolvable_witness
+            if ref.witness is None:
+                assert witness is None, case
+                continue
+            assert witness.size == got.oracle_gamma - 1, case
+            assert brute_solvable(t, witness, w, max_pebbles=witness.size) is False, case
+
+    def test_same_errors_under_pebble_ceilings(self):
+        for t, w in SCAN_CASES[::5]:
+            gamma = cover_pebbling_number(t, w).gamma
+            for ceiling in {-1, gamma // 2, gamma - 1, gamma}:
+                expected = _outcome(reference_verify_gamma, t, w, max_pebbles=ceiling)
+                got = _outcome(verify_gamma, t, w, max_pebbles=ceiling)
+                assert got == expected, (t.edges, dict(w.items()), ceiling)
+
+    def test_same_errors_under_enumeration_limits(self, monkeypatch):
+        # caps that bite below gamma, at gamma and at the confirmation
+        for t, w in SCAN_CASES[::5]:
+            gamma, leaves = cover_pebbling_number(t, w).gamma, len(t.leaves())
+            counts = (
+                oracle._composition_count(max(gamma - 1, 0), leaves),
+                oracle._composition_count(gamma, leaves),
+                oracle._composition_count(gamma, t.n),
+            )
+            for limit in {0, *(c - 1 for c in counts)}:
+                monkeypatch.setattr(oracle, "ENUM_LIMIT", limit)
+                expected = _outcome(reference_verify_gamma, t, w)
+                assert _outcome(verify_gamma, t, w) == expected, (t.edges, dict(w.items()), limit)
+
+    def test_same_errors_under_memo_limits(self, monkeypatch):
+        # a scan raises exactly under the caps below the number of states it
+        # writes; the two scans write different numbers, so between those
+        # counts one answers and one raises, and below and above both they
+        # must agree
+        def least_memo_limit(scan, t, w):
+            def answers(cap):
+                monkeypatch.setattr(oracle, "MEMO_LIMIT", cap)
+                outcome = _outcome(scan, t, w)
+                if outcome[0] is BudgetExceededError:
+                    assert outcome[1] == f"solvability memo exceeded {cap} states"
+                    return False
+                return True
+
+            lo, hi = -1, 1
+            while not answers(hi):
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if answers(mid) else (mid, hi)
+            return hi
+
+        for t, w in SCAN_CASES[::11]:
+            case = (t.edges, dict(w.items()))
+            caps = sorted(least_memo_limit(scan, t, w) for scan in (verify_gamma, reference_verify_gamma))
+            for cap in {0, caps[0] // 2, caps[0] - 1, caps[1]} - {-1}:
+                monkeypatch.setattr(oracle, "MEMO_LIMIT", cap)
+                expected = _outcome(reference_verify_gamma, t, w)
+                assert _outcome(verify_gamma, t, w) == expected, (case, cap)
 
 
 def _max_unsolvable_size(t, w, ceiling, support=None):
