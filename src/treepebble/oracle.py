@@ -16,8 +16,14 @@ downward (a move open to a distribution is open to every larger one), so
 the scan first tries the last size's unsolvable witness plus one leaf
 pebble, and enumerates a size in full only when every such extension is
 solvable. That always happens at the cover number itself, which is still
-decided by a full scan. A report's ``distributions_checked`` counts every
-start state tried, extensions included.
+decided by a full scan. The climb does not start at size 0: it first
+solves one pile on the leaf a lone pile costs most to meet the demand
+from, one pebble short of that cost. When the search proves the pile
+unsolvable, downward closure gives every smaller size an unsolvable
+distribution too, so the climb starts one size above the pile, from the
+pile as witness. The price only picks the pile; the search decides it. A
+report's ``distributions_checked`` counts every start state tried, the
+pile and the extensions included.
 
 Each search state is one int: a count field per vertex, a met field per
 demanded vertex and a filter field per weighted sum, each biased so that
@@ -249,6 +255,25 @@ def _packed_compositions(total: int, units: list[int], base: int) -> Iterator[in
         state += (rest + 1) * odometer[i + 1] - rest * odometer[pivot] - odometer[i]
 
 
+def _leaf_pile(tree: Tree, weights: WeightFunction) -> tuple[int, int]:
+    """``(leaf, pebbles)``: the leaf whose lone pile needs the most pebbles to
+    meet the demand, and that need less one; ties go to the first leaf.
+
+    A pile on v meets the demand iff it holds sum_j w(j) * 2^d(v, j)
+    pebbles (the stacking bound): that many suffice, path by path, and no
+    move raises sum_x c_x * 2^d(x, v), which starts at the pile's size. A
+    zero demand needs 0, so it gives -1.
+    """
+    leaves = [tree.index[name] for name in tree.leaves()]
+    prices = [-1] * len(leaves)
+    for j, d in enumerate(weights.row(tree)):
+        if d:
+            drow = tree._rooting(j)[2]
+            prices = [p + (d << drow[i]) for p, i in zip(prices, leaves)]
+    top = max(prices)
+    return leaves[prices.index(top)], top
+
+
 def _composition_count(total: int, parts: int) -> int:
     if parts == 0:
         return 1 if total == 0 else 0
@@ -298,19 +323,27 @@ def verify_gamma(
     and the last witness's extensions are the first place to look. An
     unsolvable extension proves k+1 < gamma; when every extension is
     solvable, the scan enumerates every leaf composition of size k+1 in
-    lex order, as at gamma itself. Each size thus gets the verdict of a
-    full scan, and gamma, the status and the confirmation with it, though
-    the witness may be another distribution of size gamma - 1. The
-    resulting candidate is then confirmed over all-vertex supports whenever
-    that enumeration stays within ``FULL_CONFIRM_LIMIT`` (otherwise the
-    leaf-support scan stands, which is where a maximum-size unsolvable
-    distribution is guaranteed to live). Status is MISMATCH when formula
-    and oracle disagree; callers must treat that as a failure.
+    lex order, as at gamma itself. Before the climb, one start state
+    covers the small sizes at once: P pebbles on the leaf l with the
+    largest P = sum_j w(j) * 2^d(l, j) - 1 (first leaf on ties, at most
+    ``max_pebbles``). A lone pile meets the demand only with P + 1, so
+    the search finds this one unsolvable, and by downward closure every
+    size up to P then holds an unsolvable distribution: the climb starts
+    at P + 1 with the pile as witness. Were the pile solvable, the climb
+    would start at 0. Each size thus gets the verdict of a full scan, and
+    gamma, the status and the confirmation with it, though the witness may
+    be another distribution of size gamma - 1. The resulting candidate is
+    then confirmed over all-vertex supports whenever that enumeration stays
+    within ``FULL_CONFIRM_LIMIT`` (otherwise the leaf-support scan stands,
+    which is where a maximum-size unsolvable distribution is guaranteed to
+    live). Status is MISMATCH when formula and oracle disagree; callers
+    must treat that as a failure.
 
     ``distributions_checked`` counts every start state passed to the
-    solver: extensions, compositions and the confirmation. Each size is
-    held to ``ENUM_LIMIT`` by its full composition count before it is
-    tried, and to ``max_pebbles``, one size at a time.
+    solver: the pile, extensions, compositions and the confirmation. Each
+    size is held to ``ENUM_LIMIT`` by its full composition count before it
+    is tried (sizes up to P before the pile), and to ``max_pebbles``, one
+    size at a time, so both budgets raise where a climb from 0 would.
     """
     started = time.perf_counter()
     if tree.n > MAX_VERTICES:
@@ -319,13 +352,16 @@ def verify_gamma(
     solve, zero, all_units, row_of = _solver(tree, weights, max(max_pebbles, 0))
     checked_count = 0
 
-    def first_unsolvable(size: int, units: list[int], seed: int | None) -> int | None:
-        nonlocal checked_count
-        count = _composition_count(size, len(units))
+    def hold(size: int, parts: int) -> None:
+        count = _composition_count(size, parts)
         if count > ENUM_LIMIT:
             raise BudgetExceededError(
                 f"{count} distributions of size {size} exceed enumeration limit {ENUM_LIMIT}"
             )
+
+    def first_unsolvable(size: int, units: list[int], seed: int | None) -> int | None:
+        nonlocal checked_count
+        hold(size, len(units))
         # the seed's extensions by one pebble first, then every composition
         extensions = [] if seed is None else [seed + unit for unit in units]
         for states in (extensions, _packed_compositions(size, units, zero)):
@@ -338,6 +374,22 @@ def verify_gamma(
     units = leaf_units = [all_units[tree.index[name]] for name in tree.leaves()]
     witness_state = climb = None
     k = 0
+    # the climb starts above the costliest leaf pile the search proves unsolvable
+    leaf, pile = _leaf_pile(tree, weights)
+    pile = min(pile, max_pebbles)
+    if pile >= 1:
+        # counts grow with size, so some size up to the pile's is past the
+        # limit iff the pile's is; the loop raises at the first such size,
+        # by size ENUM_LIMIT at the latest
+        if _composition_count(pile, len(leaf_units)) > ENUM_LIMIT:
+            for size in range(pile + 1):
+                hold(size, len(leaf_units))
+        state = zero + pile * all_units[leaf]
+        checked_count += 1
+        if not solve(state):
+            # downward closure: every size up to the pile's has an unsolvable one
+            witness_state = climb = state
+            k = pile + 1
     confirmation = "full"
     # a zero demand scans no size; a failed confirmation resumes the leaf scan
     while weights.support:

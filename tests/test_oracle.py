@@ -216,7 +216,7 @@ class TestVerifyGamma:
             for w in weight_functions(t, max_entry=2, max_total=4)
         ]
         assert len(reports) == 130
-        assert sum(r.distributions_checked for r in reports) == 79_541
+        assert sum(r.distributions_checked for r in reports) == 75_827
         for r in reports:
             assert r.confirmation == "full"
             assert r.unsolvable_witness.size == r.oracle_gamma - 1
@@ -276,6 +276,24 @@ class TestClimbAgainstTheReferenceScan:
             assert witness.size == got.oracle_gamma - 1, case
             assert brute_solvable(t, witness, w, max_pebbles=witness.size) is False, case
 
+    def test_leaf_pile_is_one_pebble_short(self):
+        # the climb starts above the pile only when the search proves it
+        # unsolvable; the raw move space, with no cut and no arc
+        # restriction, must agree that it is, and that one more pebble on
+        # the same leaf solves it
+        for t, w in SCAN_CASES:
+            if not w.support:
+                continue
+            leaf, pile = oracle._leaf_pile(t, w)
+            solve = reference_solver(t, w, prune=False)
+            counts = [0] * t.n
+            counts[leaf] = pile
+            case = (t.edges, dict(w.items()))
+            assert t.names[leaf] in t.leaves() and pile >= 0, case
+            assert solve(tuple(counts)) is False, case
+            counts[leaf] += 1
+            assert solve(tuple(counts)) is True, case
+
     def test_same_errors_under_pebble_ceilings(self):
         for t, w in SCAN_CASES[::5]:
             gamma = cover_pebbling_number(t, w).gamma
@@ -285,10 +303,12 @@ class TestClimbAgainstTheReferenceScan:
                 assert got == expected, (t.edges, dict(w.items()), ceiling)
 
     def test_same_errors_under_enumeration_limits(self, monkeypatch):
-        # caps that bite below gamma, at gamma and at the confirmation
+        # caps that bite at half of gamma (within the sizes the leaf pile
+        # covers), below gamma, at gamma and at the confirmation
         for t, w in SCAN_CASES[::5]:
             gamma, leaves = cover_pebbling_number(t, w).gamma, len(t.leaves())
             counts = (
+                oracle._composition_count(gamma // 2, leaves),
                 oracle._composition_count(max(gamma - 1, 0), leaves),
                 oracle._composition_count(gamma, leaves),
                 oracle._composition_count(gamma, t.n),
