@@ -13,17 +13,18 @@ changes no verdict. The size scan adds the leaf-support restriction for
 witness hunting (a maximum-size unsolvable distribution always exists with
 all pebbles on leaves), and climbs: unsolvable distributions are closed
 downward (a move open to a distribution is open to every larger one), so
-the scan first tries the last size's unsolvable witness plus one leaf
-pebble, and enumerates a size in full only when every such extension is
-solvable. That always happens at the cover number itself, which is still
-decided by a full scan. The climb does not start at size 0: it first
-solves one pile on the leaf a lone pile costs most to meet the demand
-from, one pebble short of that cost. When the search proves the pile
-unsolvable, downward closure gives every smaller size an unsolvable
-distribution too, so the climb starts one size above the pile, from the
-pile as witness. The price only picks the pile; the search decides it. A
-report's ``distributions_checked`` counts every start state tried, the
-pile and the extensions included.
+each size first tries the last size's unsolvable witness plus one leaf
+pebble, and enumerates the size only when every such extension is
+solvable, over all supports when it has at most ``FULL_CONFIRM_LIMIT``
+distributions and over leaves otherwise. That always happens at the cover
+number itself, the first size with no unsolvable start. The scan does not
+start at size 0: it first solves one pile on the leaf a lone pile costs
+most to meet the demand from, one pebble short of that cost. When the
+search proves the pile unsolvable, downward closure gives every smaller
+size an unsolvable distribution too, so the scan starts one size above
+the pile, from the pile as witness. The price only picks the pile; the
+search decides it. A report's ``distributions_checked`` counts every start
+state tried, the pile and the extensions included.
 
 Each search state is one int: a count field per vertex, a met field per
 demanded vertex and a filter field per weighted sum, each biased so that
@@ -39,6 +40,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 from operator import mul
 from typing import Callable, Iterator
@@ -51,8 +53,9 @@ DEFAULT_MAX_PEBBLES = 24
 MAX_VERTICES = 8
 ENUM_LIMIT = 10**7
 MEMO_LIMIT = 10**7
-# full-support confirmation switches to leaf supports above this many
-# distributions, or the size scans would dwarf every other runtime bound
+# a size with more distributions than this is scanned over leaf supports
+# only, or the size scans would dwarf every other runtime bound; at most
+# ENUM_LIMIT, so an all-support scan never needs that limit
 FULL_CONFIRM_LIMIT = 10_000
 
 
@@ -313,43 +316,44 @@ def verify_gamma(
 ) -> VerificationReport:
     """Re-derive the cover number by search and compare with the formula.
 
-    Scans distribution sizes upward over leaf supports until a size has no
-    unsolvable distribution, keeping the largest unsolvable one found as the
-    witness. The scan climbs: size k+1 first tries the size-k witness plus
-    one pebble on each leaf, in leaf order, and keeps the first unsolvable
-    one. Unsolvable distributions are closed downward, since every move
-    sequence open to a distribution is open to it with a pebble more. So
-    every unsolvable leaf distribution of size k+1 extends one of size k,
-    and the last witness's extensions are the first place to look. An
-    unsolvable extension proves k+1 < gamma; when every extension is
-    solvable, the scan enumerates every leaf composition of size k+1 in
-    lex order, as at gamma itself. Before the climb, one start state
-    covers the small sizes at once: P pebbles on the leaf l with the
-    largest P = sum_j w(j) * 2^d(l, j) - 1 (first leaf on ties, at most
-    ``max_pebbles``). A lone pile meets the demand only with P + 1, so
-    the search finds this one unsolvable, and by downward closure every
-    size up to P then holds an unsolvable distribution: the climb starts
-    at P + 1 with the pile as witness. Were the pile solvable, the climb
-    would start at 0. Each size thus gets the verdict of a full scan, and
-    gamma, the status and the confirmation with it, though the witness may
-    be another distribution of size gamma - 1. The resulting candidate is
-    then confirmed over all-vertex supports whenever that enumeration stays
-    within ``FULL_CONFIRM_LIMIT`` (otherwise the leaf-support scan stands,
-    which is where a maximum-size unsolvable distribution is guaranteed to
-    live). Status is MISMATCH when formula and oracle disagree; callers
-    must treat that as a failure.
+    Scans distribution sizes upward until a size has no unsolvable
+    distribution, keeping the largest unsolvable one found as the witness.
+    One scan decides each size k. It first tries the last witness plus one
+    pebble on each leaf, in leaf order. Unsolvable distributions are closed
+    downward, since every move sequence open to a distribution is open to
+    it with a pebble more, so the last witness's extensions are the first
+    place to look, and an unsolvable one proves k < gamma. When every
+    extension is solvable, the scan enumerates the compositions of k in lex
+    order: over all vertices when there are at most ``FULL_CONFIRM_LIMIT``
+    of them, otherwise over leaves, which is where a maximum-size
+    unsolvable distribution is guaranteed to live. The first size whose
+    scan finds no unsolvable start is gamma, and ``confirmation`` names the
+    supports that scan enumerated. Before the scan, one start state covers
+    the small sizes at once: P pebbles on the leaf l with the largest
+    P = sum_j w(j) * 2^d(l, j) - 1 (first leaf on ties, at most
+    ``max_pebbles``). A lone pile meets the demand only with P + 1, so the
+    search finds this one unsolvable, and by downward closure every size up
+    to P then holds an unsolvable distribution: the scan starts at P + 1
+    with the pile as witness. Were the pile solvable, the scan would start
+    at 0. Gamma, the status and the confirmation are those of a scan of
+    every size in full, though the witness may be another distribution of
+    size gamma - 1. Status is MISMATCH when formula and oracle disagree;
+    callers must treat that as a failure.
 
     ``distributions_checked`` counts every start state passed to the
-    solver: the pile, extensions, compositions and the confirmation. Each
-    size is held to ``ENUM_LIMIT`` by its full composition count before it
-    is tried (sizes up to P before the pile), and to ``max_pebbles``, one
-    size at a time, so both budgets raise where a climb from 0 would.
+    solver: the pile, extensions and compositions. A leaf scan is held to
+    ``ENUM_LIMIT`` by its full composition count before it is tried (sizes
+    up to P before the pile, the first one past the limit found by
+    bisection); an all-vertex scan stays within ``FULL_CONFIRM_LIMIT``,
+    which is at most ``ENUM_LIMIT``. Each size is held to ``max_pebbles``,
+    so both budgets raise where a scan of every size from 0 would.
     """
     started = time.perf_counter()
     if tree.n > MAX_VERTICES:
         raise BudgetExceededError(f"tree has {tree.n} vertices, oracle bound is {MAX_VERTICES}")
     # every scanned size is at most max_pebbles
     solve, zero, all_units, row_of = _solver(tree, weights, max(max_pebbles, 0))
+    leaf_units = [all_units[tree.index[name]] for name in tree.leaves()]
     checked_count = 0
 
     def hold(size: int, parts: int) -> None:
@@ -359,54 +363,43 @@ def verify_gamma(
                 f"{count} distributions of size {size} exceed enumeration limit {ENUM_LIMIT}"
             )
 
-    def first_unsolvable(size: int, units: list[int], seed: int | None) -> int | None:
-        nonlocal checked_count
-        hold(size, len(units))
-        # the seed's extensions by one pebble first, then every composition
-        extensions = [] if seed is None else [seed + unit for unit in units]
-        for states in (extensions, _packed_compositions(size, units, zero)):
-            for state in states:
-                checked_count += 1
-                if not solve(state):
-                    return state
-        return None
-
-    units = leaf_units = [all_units[tree.index[name]] for name in tree.leaves()]
-    witness_state = climb = None
+    witness_state = None
     k = 0
-    # the climb starts above the costliest leaf pile the search proves unsolvable
+    # the scan starts above the costliest leaf pile the search proves unsolvable
     leaf, pile = _leaf_pile(tree, weights)
     pile = min(pile, max_pebbles)
     if pile >= 1:
-        # counts grow with size, so some size up to the pile's is past the
-        # limit iff the pile's is; the loop raises at the first such size,
-        # by size ENUM_LIMIT at the latest
-        if _composition_count(pile, len(leaf_units)) > ENUM_LIMIT:
-            for size in range(pile + 1):
-                hold(size, len(leaf_units))
+        # counts grow with size: bisect for the first size up to the pile's
+        # past the limit, where a scan from 0 would raise
+        lo, hi = 0, pile
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _composition_count(mid, len(leaf_units)) > ENUM_LIMIT else (mid + 1, hi)
+        hold(lo, len(leaf_units))
         state = zero + pile * all_units[leaf]
         checked_count += 1
         if not solve(state):
             # downward closure: every size up to the pile's has an unsolvable one
-            witness_state = climb = state
-            k = pile + 1
+            witness_state, k = state, pile + 1
     confirmation = "full"
-    # a zero demand scans no size; a failed confirmation resumes the leaf scan
+    # a zero demand scans no size
     while weights.support:
         if k > max_pebbles:
             raise BudgetExceededError(f"size scan passed max_pebbles={max_pebbles}")
-        bad = first_unsolvable(k, units, climb)
-        if bad is not None:
-            # only a leaf witness is extended, so every climbed state stays on leaves
-            climb = bad if units is leaf_units else None
-            witness_state, k, units = bad, k + 1, leaf_units
-        elif units is all_units:
-            break
-        elif _composition_count(k, tree.n) > FULL_CONFIRM_LIMIT:
-            confirmation = "leaves"
-            break
+        if _composition_count(k, tree.n) <= FULL_CONFIRM_LIMIT:
+            confirmation, units = "full", all_units
         else:
-            units, climb = all_units, None
+            confirmation, units = "leaves", leaf_units
+        hold(k, len(units))
+        # the last witness plus one leaf pebble first, then every composition
+        extensions = [] if witness_state is None else [witness_state + unit for unit in leaf_units]
+        for state in chain(extensions, _packed_compositions(k, units, zero)):
+            checked_count += 1
+            if not solve(state):
+                witness_state, k = state, k + 1
+                break
+        else:
+            break
 
     witness = None if witness_state is None else Distribution.from_row(tree, row_of(witness_state))
     formula = cover_pebbling_number(tree, weights).gamma

@@ -240,12 +240,12 @@ class TestVerifyCommand:
         assert invoke(*argv) == (
             0,
             "status PASS\nformula_gamma 1\noracle_gamma 1\nconfirmation full\n"
-            "distributions_checked 4\ntree a\nomega a 1\nwitness empty\n",
+            "distributions_checked 3\ntree a\nomega a 1\nwitness empty\n",
             "",
         )
         assert invoke(*argv, "--json") == (
             0,
-            '{"command": "verify", "confirmation": "full", "distributions_checked": 4, '
+            '{"command": "verify", "confirmation": "full", "distributions_checked": 3, '
             '"formula_gamma": 1, "omega": {"a": 1}, "oracle_gamma": 1, "status": "PASS", '
             '"tree": "a", "witness": {}}\n',
             "",
@@ -509,10 +509,10 @@ GOLDEN = [
      '{"command": "extremal", "distribution": {"d": 7}, "gamma": 8, "root": "d", "size": 7}\n',
      ''),
     ('verify --tree star.tree --weights demand.map', 0,
-     'status PASS\nformula_gamma 8\noracle_gamma 8\nconfirmation full\ndistributions_checked 214\ntree a b;b c;b d\nomega a 1;c 1\nwitness d 7\n',
+     'status PASS\nformula_gamma 8\noracle_gamma 8\nconfirmation full\ndistributions_checked 169\ntree a b;b c;b d\nomega a 1;c 1\nwitness d 7\n',
      ''),
     ('verify --tree star.tree --weights demand.map --json', 0,
-     '{"command": "verify", "confirmation": "full", "distributions_checked": 214, "formula_gamma": 8, "omega": {"a": 1, "c": 1}, "oracle_gamma": 8, "status": "PASS", "tree": "a b;b c;b d", "witness": {"d": 7}}\n',
+     '{"command": "verify", "confirmation": "full", "distributions_checked": 169, "formula_gamma": 8, "omega": {"a": 1, "c": 1}, "oracle_gamma": 8, "status": "PASS", "tree": "a b;b c;b d", "witness": {"d": 7}}\n',
      ''),
     ('gen-tree -n 7 --seed 3', 0,
      'v1 v2\nv2 v3\nv2 v5\nv3 v7\nv4 v5\nv5 v6\n',
@@ -584,10 +584,10 @@ GOLDEN = [
      '',
      'error: BUDGET: size scan passed max_pebbles=7\n'),
     ('verify --tree star.tree --weights demand.map --max-pebbles 8', 0,
-     'status PASS\nformula_gamma 8\noracle_gamma 8\nconfirmation full\ndistributions_checked 214\ntree a b;b c;b d\nomega a 1;c 1\nwitness d 7\n',
+     'status PASS\nformula_gamma 8\noracle_gamma 8\nconfirmation full\ndistributions_checked 169\ntree a b;b c;b d\nomega a 1;c 1\nwitness d 7\n',
      ''),
     ('verify --tree star.tree --weights demand.map --max-pebbles 1000000000000000000', 0,
-     'status PASS\nformula_gamma 8\noracle_gamma 8\nconfirmation full\ndistributions_checked 214\ntree a b;b c;b d\nomega a 1;c 1\nwitness d 7\n',
+     'status PASS\nformula_gamma 8\noracle_gamma 8\nconfirmation full\ndistributions_checked 169\ntree a b;b c;b d\nomega a 1;c 1\nwitness d 7\n',
      ''),
     ('simulate --tree star.tree --dist full.map --moves ab.moves', 3,
      '',

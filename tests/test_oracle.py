@@ -129,10 +129,31 @@ class TestBudgets:
     def test_enumeration_limit(self, monkeypatch):
         # two leaves: sizes 0-2 have 1-3 distributions, size 3 has 4
         monkeypatch.setattr(oracle, "ENUM_LIMIT", 3)
+        monkeypatch.setattr(oracle, "FULL_CONFIRM_LIMIT", min(oracle.FULL_CONFIRM_LIMIT, 3))
         with pytest.raises(
             BudgetExceededError, match="^4 distributions of size 3 exceed enumeration limit 3$"
         ):
             verify_gamma(tree(self.PATH), WeightFunction({"v3": 1}))
+
+    def test_enumeration_limit_below_a_huge_pile_found_by_bisection(self, monkeypatch):
+        # the pile holds 2 * 10^12 - 1 pebbles; the first size past the
+        # limit is found without counting the distributions of every size
+        calls, composition_count = [], oracle._composition_count
+
+        def count(total, parts):
+            calls.append(total)
+            return composition_count(total, parts)
+
+        monkeypatch.setattr(oracle, "_composition_count", count)
+        with pytest.raises(
+            BudgetExceededError,
+            match="^10000001 distributions of size 10000000 exceed enumeration limit 10000000$",
+        ):
+            verify_gamma(tree("a b"), WeightFunction({"a": 10**12}), max_pebbles=10**18)
+        assert len(calls) <= 100
+
+    def test_all_support_scans_stay_within_the_enumeration_limit(self):
+        assert oracle.FULL_CONFIRM_LIMIT <= oracle.ENUM_LIMIT
 
 
 class TestEnumerateDistributions:
@@ -216,7 +237,7 @@ class TestVerifyGamma:
             for w in weight_functions(t, max_entry=2, max_total=4)
         ]
         assert len(reports) == 130
-        assert sum(r.distributions_checked for r in reports) == 75_827
+        assert sum(r.distributions_checked for r in reports) == 70_930
         for r in reports:
             assert r.confirmation == "full"
             assert r.unsolvable_witness.size == r.oracle_gamma - 1
@@ -304,7 +325,10 @@ class TestClimbAgainstTheReferenceScan:
 
     def test_same_errors_under_enumeration_limits(self, monkeypatch):
         # caps that bite at half of gamma (within the sizes the leaf pile
-        # covers), below gamma, at gamma and at the confirmation
+        # covers), below gamma, at gamma and at the confirmation; an
+        # all-support scan is never held to ENUM_LIMIT, so its own cap is
+        # kept within it, as it is in the module
+        full_limit = oracle.FULL_CONFIRM_LIMIT
         for t, w in SCAN_CASES[::5]:
             gamma, leaves = cover_pebbling_number(t, w).gamma, len(t.leaves())
             counts = (
@@ -315,6 +339,7 @@ class TestClimbAgainstTheReferenceScan:
             )
             for limit in {0, *(c - 1 for c in counts)}:
                 monkeypatch.setattr(oracle, "ENUM_LIMIT", limit)
+                monkeypatch.setattr(oracle, "FULL_CONFIRM_LIMIT", min(full_limit, limit))
                 expected = _outcome(reference_verify_gamma, t, w)
                 assert _outcome(verify_gamma, t, w) == expected, (t.edges, dict(w.items()), limit)
 
