@@ -82,9 +82,7 @@ def _sizes_line(sizes: Sequence[int]) -> str:
 
 
 def _table(out: IO[str], header: str, names: Sequence[str], values: Mapping[str, int]) -> None:
-    out.write(header)
-    for name in names:
-        out.write(f"{name} {values.get(name, 0)}\n")
+    out.write(header + "".join([f"{name} {values.get(name, 0)}\n" for name in names]))
 
 
 def _partition(a) -> tuple[int, dict]:

@@ -12,9 +12,10 @@ batch ``(src, dst, k)`` per vertex that sends or receives pebbles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterable, NamedTuple
 
-from .checked import INT64_MAX, checked
+from .checked import INT64_MAX, INT64_MIN, checked
 from .errors import IllegalMoveError, NotSolvableError, OverflowLimitError, TreeFormatError
 from .tree import Distribution, Tree, WeightFunction, _parse_count, _token_runs
 
@@ -43,10 +44,6 @@ class SolvabilityCertificate:
     hat_values: dict[str, int]
 
 
-def _fold(value: int) -> int:
-    return value // 2 if value >= 0 else 2 * value
-
-
 def _collapse(
     tree: Tree, dist: Distribution, weights: WeightFunction, root: str
 ) -> tuple[list[int], list[int], list[int]]:
@@ -54,13 +51,21 @@ def _collapse(
 
     Returns the values (each non-root entry as it was when folded, the
     root's entry the collapsed value), the post-order and the parents.
+    A value outside the signed 64-bit range raises: C = D - demand in name
+    order, then the partial sums in fold order.
     """
     ir = tree._require(root)
-    # C = D - demand, checked in name order
-    values = [checked(d - w, "initial value") for d, w in zip(dist.row(tree), weights.row(tree))]
+    values = list(map(sub, dist.row(tree), weights.row(tree)))
+    if min(values) < INT64_MIN or max(values) > INT64_MAX:
+        for value in values:
+            checked(value, "initial value")
     order, parent, _ = tree._rooting(ir)
     for x in order[:-1]:
-        values[parent[x]] = checked(values[parent[x]] + _fold(values[x]), "induced value")
+        value = values[x]
+        total = values[parent[x]] + (value // 2 if value >= 0 else 2 * value)
+        if not INT64_MIN <= total <= INT64_MAX:
+            checked(total, "induced value")
+        values[parent[x]] = total
     return values, order, parent
 
 
@@ -89,8 +94,14 @@ def is_solvable(tree: Tree, dist: Distribution, weights: WeightFunction) -> Solv
     """
     hat, order, parent = _collapse(tree, dist, weights, tree.names[0])
     for x in reversed(order[:-1]):  # hat[parent[x]] is final, hat[x] not yet
-        rest = checked(hat[parent[x]] - _fold(hat[x]), "induced value")
-        hat[x] = checked(hat[x] + _fold(rest), "induced value")
+        value = hat[x]
+        rest = hat[parent[x]] - (value // 2 if value >= 0 else 2 * value)
+        if not INT64_MIN <= rest <= INT64_MAX:
+            checked(rest, "induced value")
+        total = value + (rest // 2 if rest >= 0 else 2 * rest)
+        if not INT64_MIN <= total <= INT64_MAX:
+            checked(total, "induced value")
+        hat[x] = total
     witness = next((name for name, value in zip(tree.names, hat) if value >= 0), None)
     return SolvabilityCertificate(witness is not None, witness, dict(zip(tree.names, hat)))
 
@@ -120,13 +131,16 @@ def solve_witness(
         if cv >= 2:
             moves.append(PebblingMove(names[x], names[parent[x]], cv // 2))
 
+    adj = tree._adj
     stack = [ir]
     while stack:  # pre-order; the root's value is nonnegative, so it adds no move
         x = stack.pop()
         cv = fold_value[x]
         if cv < 0:
             moves.append(PebblingMove(names[parent[x]], names[x], -cv))
-        stack.extend(reversed([y for y in tree._adj[x] if parent[y] == x]))
+        for y in reversed(adj[x]):  # children last to first, so the first pops next
+            if parent[y] == x:
+                stack.append(y)
     return moves
 
 

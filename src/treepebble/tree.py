@@ -5,9 +5,13 @@ indices in sorted-name order, and every iteration order in this package is
 sorted-by-name, so all derived output is deterministic. Trees and the value
 maps defined on them are immutable after construction; every operation is a
 pure function of its inputs and safe to share across threads.
-``Tree.edges`` is derived on demand. A tree is validated by bulk name
-checks, its edge count and one rooting; the per-edge loop runs only on
-rejected input, to choose the message.
+``Tree.edges`` is derived on demand. ``Tree._build`` is the one builder,
+on two name columns: a tree is validated by bulk name checks, its edge
+count and one rooting, and the per-edge loop runs only on rejected input,
+to choose the message. ``Tree(edges)`` splits its pairs into the columns;
+``parse_tree`` takes them from one split of a canonical document (only
+``u v`` lines, one space apart, each ended by a newline) and reads any
+other document line by line.
 ``Tree._toward`` is the one place that orients a tree toward a sink subtree;
 ``orient_toward``, ``minimal_subtree`` and cover's per-root scorer read it.
 
@@ -82,13 +86,20 @@ class Tree:
         edges, vertices = list(edges), list(vertices)
         try:
             us, vs = [u for u, _ in edges], [v for _, v in edges]
+        except (TypeError, ValueError):  # a pair that is not two names
+            _reject(edges, vertices, 0)
+        self._build(us, vs, vertices)
+
+    def _build(self, us: list, vs: list, vertices: list) -> None:
+        """Build the tree with edges ``us[i]``-``vs[i]`` and the bare names ``vertices``."""
+        try:
             names = sorted({*us, *vs, *vertices})
             joined = " ".join(names)
-        except (TypeError, ValueError):  # a pair that is not two names, or a non-str name
-            _reject(edges, vertices, 0)
+        except (TypeError, ValueError):  # a non-str name
+            _reject(list(zip(us, vs)), vertices, 0)
         # every name nonempty, without whitespace, and none starting with '#'
         if not names or joined.split() != names or joined.startswith("#") or " #" in joined:
-            _reject(edges, vertices, 0)
+            _reject(list(zip(us, vs)), vertices, 0)
 
         n = len(names)
         self.names: tuple[str, ...] = tuple(names)
@@ -103,8 +114,8 @@ class Tree:
 
         # rooted at index 0, u-v is an edge iff parent[u] == v or parent[v] == u
         order, self._parent, _ = self._rooting(0)
-        if len(order) != n or len(edges) != n - 1:
-            _reject(edges, vertices, len(order))
+        if len(order) != n or len(us) != n - 1:
+            _reject(list(zip(us, vs)), vertices, len(order))
 
     # -- basic queries -------------------------------------------------
 
@@ -346,7 +357,22 @@ def parse_tree(text: str) -> Tree:
     Raises TreeFormatError on a line that is neither ``u v`` nor a bare
     name, and, through the Tree constructor, on duplicate edges,
     self-loops, cycles, disconnected input, or an empty document.
+
+    The document is split into tokens in one call. When it is canonical,
+    only ``u v`` lines with one space between the names, each line ended
+    by a newline (the last one may lack it) and no name starting with '#',
+    the tree is built from the two name columns of those tokens. Any other
+    document goes through the per-line loop, the one place that words a
+    line error.
     """
+    tokens = text.split()
+    # canonical: the tokens written back two to a line give the document; no name starts with '#'
+    template = "{} {}\n" * (len(tokens) // 2)
+    canonical = template.format(*tokens) == (text if text.endswith("\n") else text + "\n")
+    if tokens and canonical and text[0] != "#" and " #" not in text and "\n#" not in text:
+        tree = Tree.__new__(Tree)
+        tree._build(tokens[0::2], tokens[1::2], [])
+        return tree
     edges: list[list[str]] = []
     singles: list[str] = []
     # str.splitlines, as in _token_runs, so that line numbers count the same breaks

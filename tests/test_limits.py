@@ -2,8 +2,9 @@
 
 The inputs are a 10^5-leaf star (edges ``c v1`` ... ``c v100000``; ``v99999``
 is the last of the hub's neighbours by name), the same star with its lines
-shuffled and every other edge written leaf first, and a 10^5-vertex path. All
-commands run in one directory per module, so each input is written once.
+shuffled and every other edge written leaf first, a 10^5-vertex path and a
+10^6-vertex random recursive tree (edges ``v<parent> v<i>``). All commands run
+in one directory per module, so each input is written once.
 """
 
 import functools
@@ -113,3 +114,25 @@ def test_cover_on_the_path_overflows(work):
     run = cli(work, "cover", "--tree", "path.tree", "--weights", "end.map")
     assert run.returncode == 3
     assert any(line.startswith("error: OVERFLOW:") for line in run.stderr.splitlines())
+
+
+def test_witness_on_a_random_recursive_tree_of_a_million_vertices(work):
+    # a canonical document, so the tree is parsed by one split; one pebble demanded at the last
+    # vertex costs 2^d - 1 moves from v0 at depth d, one batch per arc of the path
+    rng = random.Random(6)
+    depth = [0]
+    lines = []
+    for i in range(1, 10**6):
+        parent = rng.randrange(i)
+        depth.append(depth[parent] + 1)
+        lines.append(f"v{parent} v{i}\n")
+    d = depth[-1]
+    (work / "rrt.tree").write_text("".join(lines))
+    (work / "rrt.demand").write_text(f"v{10**6 - 1} 1\n")
+    (work / "rrt.dist").write_text(f"v0 {2**d}\n")
+    run = cli(work, "witness", "--tree", "rrt.tree", "--weights", "rrt.demand", "--dist", "rrt.dist",
+              "--root", "v0")
+    assert (run.returncode, run.stderr) == (0, "")
+    header, *moves = run.stdout.splitlines()
+    assert header == f"# witness root=v0 moves={2**d - 1}"
+    assert len(moves) == d and moves[-1].split()[1] == f"v{10**6 - 1}"

@@ -197,8 +197,12 @@ class TestIsSolvable:
         t = tree("m a;m b;m x;m y")
         d = Distribution({"x": 2**63 - 1, "y": 2**63 - 1})
         w = WeightFunction({"a": 2**61 + 2**59, "b": 2**61 + 2**59})
-        with pytest.raises(OverflowLimitError):
-            hat_c(t, d, w, "m")
+        # the fold order is a, b, x, y: a and b leave m at -2^63 - 2^61 before x and y add back
+        message = "induced value -11529215046068469760 is outside the signed 64-bit range"
+        for collapse in (hat_c, solve_witness):
+            with pytest.raises(OverflowLimitError) as info:
+                collapse(t, d, w, "m")
+            assert str(info.value) == message
         cert = is_solvable(t, d, w)
         assert cert.hat_values["m"] == -(2**61) - 2
         assert cert.hat_values["a"] == hat_c(t, d, w, "a") == -(2**60) - 1

@@ -246,6 +246,59 @@ def test_parse_tree_matches_the_reference(newline):
             assert _outcome(parse_tree, doc) == _outcome(reference_parse_tree, doc), (label, doc)
 
 
+@pytest.fixture
+def line_loop_runs(monkeypatch) -> list:
+    """Records each ``Tree.__init__`` call: ``parse_tree`` makes one only from its per-line loop."""
+    calls = []
+    init = Tree.__init__
+    monkeypatch.setattr(Tree, "__init__", lambda self, *args: calls.append(args) or init(self, *args))
+    return calls
+
+
+@pytest.mark.parametrize("end", ["\n", ""], ids=repr)
+def test_canonical_documents_match_the_reference(line_loop_runs, end):
+    # each case as 'u v' lines, one space and '\n' apart: the split-once path unless a bare name
+    # (never canonical) is among its lines or it has no edge
+    rng = random.Random(18)
+    for edges, names in _edge_lists(rng):
+        for label, bad_edges, vertices in _faults(edges, names, rng):
+            doc = "\n".join([f"{u} {v}" for u, v in bad_edges] + list(vertices)) + end
+            line_loop_runs.clear()
+            assert _outcome(parse_tree, doc) == _outcome(reference_parse_tree, doc), (label, doc)
+            assert bool(line_loop_runs) == bool(vertices or not bad_edges), (label, doc)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda u, v: f"{u}\t{v}",
+        lambda u, v: f"{u}  {v}",
+        lambda u, v: f"{u} {v} ",
+        lambda u, v: f"{u} {v}\r",  # the line ends in '\r\n'
+        lambda u, v: f"{u} #{v}",
+        lambda u, v: f"#{u} {v}",
+        lambda u, v: f"{u}\n{u} {v}",  # a bare name on its own line
+        lambda u, v: f"{u} {v} {u}",
+    ],
+    ids=["tab", "two spaces", "trailing space", "CRLF", "name starting with #", "comment",
+         "bare name", "three tokens"],
+)
+def test_near_canonical_documents_take_the_line_loop(line_loop_runs, edit):
+    rng = random.Random(24)
+    for edges, _ in _edge_lists(rng):
+        if not edges:
+            continue
+        lines = [f"{u} {v}" for u, v in edges]
+        at = rng.randrange(len(lines))
+        lines[at] = edit(*edges[at])
+        doc = "\n".join(lines) + "\n" * rng.randint(0, 1)
+        line_loop_runs.clear()
+        outcome = _outcome(parse_tree, doc)
+        assert outcome == _outcome(reference_parse_tree, doc), doc
+        # the loop builds the tree, or raises a line error itself before any build
+        assert line_loop_runs or outcome[1].startswith("line "), doc
+
+
 class TestMinimalSubtree:
     def test_star_two_leaves(self):
         star = tree("a b;b c;b d")
