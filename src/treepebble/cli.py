@@ -101,8 +101,7 @@ def _tpebble(a) -> tuple[int, dict]:
         value, argmax = t_pebbling_global(a.tree, a.t)
         return EXIT_OK, {"t": a.t, "value": value, "argmax": argmax}
     result = t_pebbling_number(a.tree, a.root, a.t)
-    sizes = result.partition.sizes
-    return EXIT_OK, {"t": a.t, "root": a.root, "value": result.value, "sizes": sizes}
+    return EXIT_OK, {"t": a.t, "root": a.root, "value": result.value, "sizes": result.sizes}
 
 
 def _tpebble_text(out: IO[str], p: dict, a) -> None:

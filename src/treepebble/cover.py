@@ -1,16 +1,20 @@
 """Closed-form pebbling numbers of trees.
 
 ``t_pebbling_number`` prices delivering k pebbles to a single vertex: it
-scores ``max_path_partition(tree.orient_toward((v,)))``, the tree oriented
-toward ``v``. ``cover_pebbling_number`` prices meeting a whole nonnegative
+roots the tree at ``v`` and scores the sizes of ``long_paths`` over that
+rooting, the maximum path partition toward ``v`` (Chung 1989, *Pebbling in
+hypercubes*). ``cover_pebbling_number`` prices meeting a whole nonnegative
 demand map at once, as the largest score over all roots. One root's score
 is read off the maximum path partition of its remainder forest, oriented
 toward the Steiner subtree of the root and the demand by ``Tree._toward``,
-the one place that orients a tree toward a sink. Each path of size s is a
-pile of 2^s - 1 pebbles (``s_omega_at`` sums them, ``_extremal_at`` places
-them). ``cover_pebbling_number`` gets every root's score in one rerooting
-pass over depths and subtree heights instead, since a partition path of
-size s is worth the 2^s - 1 that the 2^height of its non-sink vertices sum to.
+the one place that orients a tree toward a sink. So every partition this
+module scores is ``long_paths`` over an index rooting; the named partitions
+of ``max_path_partition`` serve only the ``partition`` command and library
+callers. Each path of size s is a pile of 2^s - 1 pebbles (``s_omega_at``
+sums them, ``_extremal_at`` places them). ``cover_pebbling_number`` gets
+every root's score in one rerooting pass over depths and subtree heights
+instead, since a partition path of size s is worth the 2^s - 1 that the
+2^height of its non-sink vertices sum to.
 ``extremal_distribution`` realizes the matching lower bound with an
 unsolvable distribution one pebble short.
 """
@@ -20,14 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .checked import INT64_MAX, checked, pow2
-from .partition import PathPartition, long_paths, max_path_partition, partition_score
+from .partition import long_paths, partition_score
 from .tree import Distribution, Tree, WeightFunction
 
 
 @dataclass(frozen=True)
 class TPebblingResult:
+    """``value`` is f_k(T, v); ``sizes`` are the edge counts of the maximum path
+    partition toward v, longest first, and empty on a one-vertex tree."""
+
     value: int
-    partition: PathPartition
+    sizes: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -47,15 +54,17 @@ class CoverResult:
 def t_pebbling_number(tree: Tree, v: str, k: int = 1) -> TPebblingResult:
     """Minimum pebble count that guarantees moving ``k`` pebbles onto ``v``.
 
-    Orients every edge toward ``v`` and scores the maximum path partition.
-    A single-vertex tree needs exactly ``k`` pebbles.
+    Roots the tree at ``v`` once and scores the sizes of the maximum path
+    partition toward it: k*2^{a_1} + sum_{i>=2} 2^{a_i} - r + 1 over its r
+    path sizes a_1 >= a_2 >= ... (``partition_score``). A single-vertex tree
+    needs exactly ``k`` pebbles.
     """
     if k < 1:
         raise ValueError("pebble target k must be at least 1")
-    part = max_path_partition(tree.orient_toward((v,)))
-    if not part.sizes:
-        return TPebblingResult(checked(k, "partition score"), part)
-    return TPebblingResult(partition_score(part.sizes, k), part)
+    order, out, _ = tree._rooting(tree._require(v))
+    sizes = tuple([len(p) - 1 for p in long_paths(out, order)])
+    value = partition_score(sizes, k) if sizes else checked(k, "partition score")
+    return TPebblingResult(value, sizes)
 
 
 def t_pebbling_global(tree: Tree, k: int = 1) -> tuple[int, str]:

@@ -358,21 +358,21 @@ def parse_tree(text: str) -> Tree:
     name, and, through the Tree constructor, on duplicate edges,
     self-loops, cycles, disconnected input, or an empty document.
 
-    The document is split into tokens in one call. When it is canonical,
-    only ``u v`` lines with one space between the names, each line ended
-    by a newline (the last one may lack it) and no name starting with '#',
-    the tree is built from the two name columns of those tokens. Any other
-    document goes through the per-line loop, the one place that words a
-    line error.
+    A document with no '#' at a line start or after a space is split into
+    tokens in one call. When it is canonical, only ``u v`` lines with one
+    space between the names, each line ended by a newline (the last one may
+    lack it), the tree is built from the two name columns of those tokens.
+    Any other document, comments and '#'-names included, goes through the
+    per-line loop, the one place that words a line error.
     """
-    tokens = text.split()
-    # canonical: the tokens written back two to a line give the document; no name starts with '#'
-    template = "{} {}\n" * (len(tokens) // 2)
-    canonical = template.format(*tokens) == (text if text.endswith("\n") else text + "\n")
-    if tokens and canonical and text[0] != "#" and " #" not in text and "\n#" not in text:
-        tree = Tree.__new__(Tree)
-        tree._build(tokens[0::2], tokens[1::2], [])
-        return tree
+    # canonical: no name starts with '#' and the tokens written back two to a line give the document
+    if text[:1] != "#" and " #" not in text and "\n#" not in text:
+        tokens = text.split()
+        template = "{} {}\n" * (len(tokens) // 2)
+        if tokens and template.format(*tokens) == (text if text.endswith("\n") else text + "\n"):
+            tree = Tree.__new__(Tree)
+            tree._build(tokens[0::2], tokens[1::2], [])
+            return tree
     edges: list[list[str]] = []
     singles: list[str] = []
     # str.splitlines, as in _token_runs, so that line numbers count the same breaks

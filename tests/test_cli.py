@@ -317,6 +317,14 @@ class TestErrorChannel:
         assert code == 3
         assert err.startswith("error: OVERFLOW:")
 
+    def test_overflow_line(self, tmp_path):
+        # the one path n000 ... n064 of 64 arcs toward n000 is scored at 2^64
+        deep = tmp_path / "deep.tree"
+        deep.write_text("".join(f"n{i:03d} n{i + 1:03d}\n" for i in range(64)))
+        code, out, err = invoke("tpebble", "--tree", str(deep), "--root", "n000")
+        assert (code, out) == (3, "")
+        assert err == "error: OVERFLOW: partition score: 2^64 overflows a signed 64-bit integer\n"
+
     def test_count_above_int64_exit_three(self, tmp_path):
         tree = tmp_path / "t.tree"
         tree.write_text("a b\n")

@@ -15,6 +15,7 @@ from treepebble import (
     cover_pebbling_number,
     extremal_distribution,
     is_solvable,
+    max_path_partition,
     random_tree,
     s_omega_at,
     simulate,
@@ -46,7 +47,7 @@ class TestTPebblingNumber:
     def test_star_leaf(self):
         result = t_pebbling_number(tree("x c;y c;z c"), "x", 1)
         assert result.value == 5
-        assert result.partition.sizes == (2, 1)
+        assert result.sizes == (2, 1)
 
     def test_path_end_two_pebbles(self):
         assert t_pebbling_number(tree("a b;b c"), "c", 2).value == 8
@@ -55,7 +56,7 @@ class TestTPebblingNumber:
         t = Tree((), ("v",))
         result = t_pebbling_number(t, "v", 7)
         assert result.value == 7
-        assert result.partition.sizes == ()
+        assert result.sizes == ()
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -173,6 +174,20 @@ class TestOverflowGuards:
         with pytest.raises(OverflowLimitError):
             cover_pebbling_number(deep, WeightFunction({names[0]: 1}))
 
+    def test_deep_tree_overflow_messages(self):
+        # rooted at n000 the partition is one path of 64 arcs; the global scan raises at n000 first
+        names = [f"n{i:03d}" for i in range(65)]
+        deep = Tree([(names[i], names[i + 1]) for i in range(64)])
+        message = "^partition score: 2\\^64 overflows a signed 64-bit integer$"
+        with pytest.raises(OverflowLimitError, match=message):
+            t_pebbling_number(deep, names[0], 1)
+        with pytest.raises(OverflowLimitError, match=message):
+            t_pebbling_global(deep, 1)
+
+    def test_unknown_root(self):
+        with pytest.raises(UnknownVertexError, match="^unknown vertex 'zz'$"):
+            t_pebbling_number(tree("a b"), "zz", 1)
+
 
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(1, 8), seed=st.integers(0, 10**6), data=st.data())
@@ -264,7 +279,7 @@ def test_matches_steiner_subtree_and_greedy_reference(case):
     best = (-1, "")
     for v in t.names:
         value, part = reference_t_pebbling(t, v, k)
-        assert t_pebbling_number(t, v, k) == TPebblingResult(value, part)
+        assert t_pebbling_number(t, v, k) == TPebblingResult(value, part.sizes)
         best = max(best, (value, v), key=lambda pair: pair[0])
     assert t_pebbling_global(t, k) == best
 
@@ -447,6 +462,21 @@ def test_single_support_equals_t_pebbling_at_scale(n):
             assert cover_pebbling_number(t, WeightFunction({v: k})).gamma == (
                 t_pebbling_number(t, v, k).value
             )
+
+
+def test_one_rooting_matches_the_named_partition_and_the_cover_engine():
+    # t_pebbling_number scores long_paths over one index rooting; on every root of every shape up
+    # to 8 vertices its sizes are max_path_partition's, and its value the one-vertex cover number
+    checked = 0
+    for t in all_shapes(8):
+        for v in t.names:
+            sizes = max_path_partition(t.orient_toward((v,))).sizes
+            for k in (1, 2, 3, 7):
+                result = t_pebbling_number(t, v, k)
+                assert result.sizes == sizes
+                assert result.value == cover_pebbling_number(t, WeightFunction({v: k})).gamma
+                checked += 1
+    assert checked == 1304
 
 
 @pytest.mark.parametrize("n", [100, 700, 2000])

@@ -2,8 +2,9 @@
 
 The inputs are a 10^5-leaf star (edges ``c v1`` ... ``c v100000``; ``v99999``
 is the last of the hub's neighbours by name), the same star with its lines
-shuffled and every other edge written leaf first, a 10^5-vertex path and a
-10^6-vertex random recursive tree (edges ``v<parent> v<i>``). All commands run
+shuffled and every other edge written leaf first, a 10^5-vertex path, and
+random recursive trees (edges ``v<parent> v<i>``) of 2,000 vertices, for the
+quadratic global ``tpebble``, and of 10^6 vertices. All commands run
 in one directory per module, so each input is written once.
 """
 
@@ -108,6 +109,23 @@ def test_two_token_lines_replay_as_the_batch(work, hub):
     run = cli(work, "simulate", "--tree", "star.tree", "--dist", "hub1000000.dist", "--moves", "each.moves")
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout == hub(10**6)[1].stdout
+
+
+def test_global_tpebble_on_a_random_recursive_tree(work):
+    # every root is scored, so this is the one quadratic command; its maximum is the cover number
+    # of the one-vertex demand {argmax: 2}
+    rng = random.Random(7)
+    text = "".join(f"v{rng.randrange(i)} v{i}\n" for i in range(1, 2000))
+    (work / "rrt2000.tree").write_text(text)
+    run = cli(work, "tpebble", "--tree", "rrt2000.tree", "-t", "2")
+    assert run.returncode == 0
+    warning = "warning: tpebble repeats a linear pass for every root; 2000 vertices will be slow\n"
+    assert run.stderr == warning
+    header, value, argmax = run.stdout.splitlines()
+    assert header == "# tpebble t=2" and argmax.startswith("argmax ")
+    demand = treepebble.WeightFunction({argmax.removeprefix("argmax "): 2})
+    gamma = treepebble.cover_pebbling_number(treepebble.parse_tree(text), demand).gamma
+    assert value == f"value {gamma}"
 
 
 def test_cover_on_the_path_overflows(work):
