@@ -45,11 +45,15 @@ def _check_name(name: str) -> str:
 
 def _reject(edges: Sequence, vertices: Sequence, reached: int) -> NoReturn:
     """Raise the first error of input ``Tree`` rejected, whose rooting reached ``reached``
-    vertices (0: not rooted): a bad name, a self-loop or a duplicate, edge by edge, then
-    a bad bare name, empty input, disconnection and a cycle."""
+    vertices (0: not rooted): an entry that is not a pair, a bad name, a self-loop or a
+    duplicate, edge by edge, then a bad bare name, empty input, disconnection and a cycle."""
     names: set[str] = set()
     seen: set[tuple[str, str]] = set()
-    for u, v in edges:
+    for i, edge in enumerate(edges):
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise TreeFormatError(f"edge {i} is not a pair of vertex names: {edge!r}") from None
         names.add(_check_name(u))
         names.add(_check_name(v))
         if u == v:
@@ -134,14 +138,9 @@ class Tree:
         except KeyError:
             raise UnknownVertexError(f"unknown vertex '{name}'") from None
 
-    def neighbors(self, name: str) -> tuple[str, ...]:
-        return tuple(self.names[j] for j in self._adj[self._require(name)])
-
     def leaves(self) -> tuple[str, ...]:
-        """Degree-1 vertices in name order; a single-vertex tree is its own leaf."""
-        if len(self.names) == 1:
-            return self.names
-        return tuple(name for i, name in enumerate(self.names) if len(self._adj[i]) == 1)
+        """Vertices of degree at most 1 in name order, so a single-vertex tree is its own leaf."""
+        return tuple(name for name, row in zip(self.names, self._adj) if len(row) < 2)
 
     # -- distances -----------------------------------------------------
 

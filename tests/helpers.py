@@ -21,6 +21,7 @@ from treepebble import (
     IllegalMoveError,
     OverflowLimitError,
     PathPartition,
+    PebblingMove,
     Tree,
     TreeFormatError,
     WeightFunction,
@@ -38,6 +39,12 @@ def tree(text: str) -> Tree:
     from treepebble import parse_tree
 
     return parse_tree(text.replace(";", "\n"))
+
+
+def neighbors(t: Tree, name: str) -> tuple[str, ...]:
+    """The names adjacent to ``name`` in ``t``'s adjacency row, which is ascending, so in name
+    order; UnknownVertexError off the tree."""
+    return tuple(t.names[j] for j in t._adj[t._require(name)])
 
 
 def _reference_check_name(name: str) -> str:
@@ -61,7 +68,11 @@ class ReferenceTree:
     def __init__(self, edges: Iterable[tuple[str, str]], vertices: Iterable[str] = ()):
         names: set[str] = set()
         seen: set[tuple[str, str]] = set()
-        for u, v in edges:
+        for i, edge in enumerate(edges):
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise TreeFormatError(f"edge {i} is not a pair of vertex names: {edge!r}") from None
             if type(u) is not str or u not in names:
                 _reference_check_name(u)
             if type(v) is not str or v not in names:
@@ -129,7 +140,7 @@ def reference_parse_tree(text: str) -> ReferenceTree:
 
 def canonical_shape(t: Tree):
     """AHU canonical form rooted at the tree center(s); equal iff isomorphic."""
-    adj = {v: set(t.neighbors(v)) for v in t.names}
+    adj = {v: set(neighbors(t, v)) for v in t.names}
     remaining = set(t.names)
     layer = [v for v in t.names if len(adj[v]) <= 1]
     while len(remaining) > 2:
@@ -143,7 +154,7 @@ def canonical_shape(t: Tree):
         layer = next_layer
 
     def ahu(v, parent):
-        return tuple(sorted(ahu(u, v) for u in t.neighbors(v) if u != parent))
+        return tuple(sorted(ahu(u, v) for u in neighbors(t, v) if u != parent))
 
     return min(ahu(c, None) for c in sorted(remaining))
 
@@ -219,7 +230,7 @@ def fold_hat_random_order(
     t: Tree, dist: Distribution, weights: WeightFunction, root: str, rng: random.Random
 ) -> int:
     """Collapse onto root eliminating random leaves, with an independent fold."""
-    adj = {v: set(t.neighbors(v)) for v in t.names}
+    adj = {v: set(neighbors(t, v)) for v in t.names}
     values = {v: dist[v] - weights[v] for v in t.names}
     alive = set(t.names)
     while len(alive) > 1:
@@ -314,7 +325,7 @@ def reference_steiner(t: Tree, terminals: Iterable[str]) -> set[str]:
     """Vertices of the smallest subtree holding the nonempty ``terminals``: every other
     leaf is pruned, one at a time, until none is left."""
     keep = set(terminals)
-    adj = {v: set(t.neighbors(v)) for v in t.names}
+    adj = {v: set(neighbors(t, v)) for v in t.names}
     leaves = [v for v in t.names if len(adj[v]) == 1 and v not in keep]
     while leaves:
         leaf = leaves.pop()
@@ -334,7 +345,7 @@ def reference_orient(t: Tree, sink: Iterable[str]) -> SimpleNamespace:
     while frontier:
         grown = []
         for x in frontier:
-            for y in t.neighbors(x):
+            for y in neighbors(t, x):
                 if y not in reached:
                     reached.add(y)
                     arcs.append((y, x))
@@ -387,7 +398,7 @@ class GeneralizedDistribution:
         cls, tree: Tree, dist: Distribution, weights: WeightFunction
     ) -> "GeneralizedDistribution":
         for name in dist.support + weights.support:
-            tree.neighbors(name)  # raises UnknownVertexError off the tree
+            tree._require(name)  # raises UnknownVertexError off the tree
         return cls(
             {name: checked(dist[name] - weights[name], "initial value") for name in tree.names}
         )
@@ -402,12 +413,12 @@ def reduce_leaf(
     """Reference single fold: delete ``leaf`` and fold its value into its unique neighbor."""
     if tree.n < 2:
         raise ValueError("cannot reduce a single-vertex tree")
-    neighbors = tree.neighbors(leaf)
-    if len(neighbors) != 1:
+    adjacent = neighbors(tree, leaf)
+    if len(adjacent) != 1:
         raise ValueError(f"vertex '{leaf}' is not a leaf")
     if set(values.values) != set(tree.names):
         raise ValueError("values must be defined on exactly the tree's vertex set")
-    (neighbor,) = neighbors
+    (neighbor,) = adjacent
     c = values[leaf]
     new_values = {name: v for name, v in values.values.items() if name != leaf}
     new_values[neighbor] = checked(
@@ -415,6 +426,44 @@ def reduce_leaf(
     )
     smaller = Tree([e for e in tree.edges if leaf not in e], (neighbor,))
     return smaller, GeneralizedDistribution(new_values)
+
+
+def reference_witness(
+    t: Tree, dist: Distribution, weights: WeightFunction, root: str
+) -> list[PebblingMove] | None:
+    """The batches ``solve_witness`` emits toward ``root``, by two recursive walks with
+    children in name order, or None when the root's collapsed value is negative.
+
+    A vertex's value is D - demand plus the fold of each child's value. The first walk
+    sends value // 2 from each surplus vertex to its parent in post-order, the second
+    sends -value from the parent to each deficit vertex in pre-order.
+    """
+    value: dict[str, int] = {}
+    moves: list[PebblingMove] = []
+
+    def children(x: str, parent: str | None) -> list[str]:
+        return sorted(y for y in neighbors(t, x) if y != parent)
+
+    def fold_up(x: str, parent: str | None) -> None:
+        c = dist[x] - weights[x]
+        for y in children(x, parent):
+            fold_up(y, x)
+            c += value[y] // 2 if value[y] >= 0 else 2 * value[y]
+        value[x] = c
+        if parent is not None and c >= 2:
+            moves.append(PebblingMove(x, parent, c // 2))
+
+    def feed_down(x: str, parent: str | None) -> None:
+        if value[x] < 0:  # never the root, whose value is nonnegative here
+            moves.append(PebblingMove(parent, x, -value[x]))
+        for y in children(x, parent):
+            feed_down(y, x)
+
+    fold_up(root, None)
+    if value[root] < 0:
+        return None
+    feed_down(root, None)
+    return moves
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -589,7 +638,7 @@ def enumerate_distributions(
     else:
         names = tuple(sorted(set(support)))
         for name in names:
-            tree.neighbors(name)  # raises UnknownVertexError off the tree
+            tree._require(name)  # raises UnknownVertexError off the tree
     count = _composition_count(size, len(names))
     if count > limit:
         raise BudgetExceededError(

@@ -31,9 +31,11 @@ from helpers import (
     all_shapes,
     compositions,
     fold_hat_random_order,
+    neighbors,
     random_distribution,
     random_weights,
     reduce_leaf,
+    reference_witness,
     simulate_each,
     tree,
     weight_functions,
@@ -268,6 +270,25 @@ class TestSolveWitness:
         with pytest.raises(NotSolvableError):
             solve_witness(t, Distribution({"a": 1}), WeightFunction({"b": 1}), "b")
 
+    def test_move_order_matches_the_recursive_reference(self):
+        # surplus batches in post-order, then deficit batches in pre-order, children by name
+        rng = random.Random(26)
+        solvable = several = 0
+        for t in all_shapes(7):
+            for _ in range(20):
+                w = random_weights(t, rng.randint(1, 4), rng)
+                d = random_distribution(t, rng.randint(0, 32), rng)
+                for root in t.names:
+                    expected = reference_witness(t, d, w, root)
+                    if expected is None:
+                        with pytest.raises(NotSolvableError):
+                            solve_witness(t, d, w, root)
+                        continue
+                    assert solve_witness(t, d, w, root) == expected, (t.edges, d, w, root)
+                    solvable += 1
+                    several += len(expected) > 1
+        assert solvable > 2000 and several > 1800  # most cases order several batches
+
 
 class TestSimulate:
     def test_single_move(self):
@@ -307,7 +328,7 @@ class TestSimulate:
                     except IllegalMoveError as exc:
                         assert exc.reason == f"'{u}' and '{v}' are not adjacent"
                         accepted = False
-                    assert accepted == (v in t.neighbors(u)), (t.edges, u, v)
+                    assert accepted == (v in neighbors(t, u)), (t.edges, u, v)
 
     def test_later_index_reported(self):
         t = tree("a b;b c")
@@ -363,7 +384,7 @@ def _run_moves(t, rng):
         u = rng.choice(t.names)
         roll = rng.random()
         if roll < 0.75 and t.n > 1:
-            v = rng.choice(t.neighbors(u))
+            v = rng.choice(neighbors(t, u))
         elif roll < 0.85:
             v = u
         elif roll < 0.9:

@@ -27,6 +27,7 @@ from treepebble import (
 from helpers import (
     ReferenceTree,
     all_shapes,
+    neighbors,
     reference_orient,
     reference_parse_tree,
     reference_steiner,
@@ -74,6 +75,22 @@ class TestParseTree:
         with pytest.raises(TreeFormatError) as info:
             Tree(edges)
         assert str(info.value) == f"vertex name must be a nonempty string, got {bad!r}"
+
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ([("a",)], "edge 0 is not a pair of vertex names: ('a',)"),
+            ([("a", "b", "c")], "edge 0 is not a pair of vertex names: ('a', 'b', 'c')"),
+            ([1], "edge 0 is not a pair of vertex names: 1"),
+            ([("a", "b"), ("b",), ("c", "c")], "edge 1 is not a pair of vertex names: ('b',)"),
+            ([("a", "a"), ("b",)], "self-loop at vertex 'a'"),
+            ([("a", "#b"), None], "vertex name '#b' starts with '#' (reserved for comments)"),
+        ],
+    )
+    def test_malformed_edge_rejected_in_edge_order(self, edges, message):
+        with pytest.raises(TreeFormatError) as info:
+            Tree(edges)
+        assert str(info.value) == message
 
     def test_str_subclass_names_accepted(self):
         # the bulk name check must take what the per-edge check takes, or valid input would
@@ -151,7 +168,7 @@ def test_neighbors_ascending_on_relabelled_shapes():
             rng.shuffle(edges)
             t = Tree([e if rng.random() < 0.5 else e[::-1] for e in edges], names.values())
             for v in t.names:
-                row = t.neighbors(v)
+                row = neighbors(t, v)
                 assert list(row) == sorted(row), (edges, v)
                 assert set(row) == {x for e in edges if v in e for x in e if x != v}
 
@@ -338,7 +355,7 @@ def _connected(t, subset) -> bool:
     """Whether ``subset`` induces a connected subgraph of ``t``, by breadth-first search."""
     reached, frontier = {min(subset)}, [min(subset)]
     while frontier:
-        frontier = [y for x in frontier for y in t.neighbors(x) if y in subset and y not in reached]
+        frontier = [y for x in frontier for y in neighbors(t, x) if y in subset and y not in reached]
         reached.update(frontier)
     return reached == set(subset)
 
@@ -408,7 +425,7 @@ class TestOrientToward:
                     # one arc out of each vertex outside the sink, none out of a sink
                     assert sorted(src for src, _ in f.arcs) == [v for v in t.names if v not in sink]
                     for src, dst in f.arcs:
-                        assert dst in t.neighbors(src) and gap[dst] == gap[src] - 1
+                        assert dst in neighbors(t, src) and gap[dst] == gap[src] - 1
                     assert sorted(f._order) == list(range(t.n))
                     position = {x: i for i, x in enumerate(f._order)}
                     for src, dst in f.arcs:
