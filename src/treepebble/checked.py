@@ -17,6 +17,12 @@ def checked(value: int, what: str) -> int:
     return value
 
 
+def require_int(value: object, what: str) -> None:
+    """A count argument must be an int; a bool or a float is refused, as in ``simulate``."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int, got {value!r}")
+
+
 def pow2(exponent: int, what: str) -> int:
     # 2^63 already exceeds INT64_MAX, so exponents stop at 62.
     if exponent >= 63:

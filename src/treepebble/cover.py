@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .checked import INT64_MAX, checked, pow2
+from .checked import INT64_MAX, checked, pow2, require_int
 from .partition import long_paths, partition_score
 from .tree import Distribution, Tree, WeightFunction
 
@@ -59,6 +59,7 @@ def t_pebbling_number(tree: Tree, v: str, k: int = 1) -> TPebblingResult:
     path sizes a_1 >= a_2 >= ... (``partition_score``). A single-vertex tree
     needs exactly ``k`` pebbles.
     """
+    require_int(k, "pebble target k")
     if k < 1:
         raise ValueError("pebble target k must be at least 1")
     order, out, _ = tree._rooting(tree._require(v))

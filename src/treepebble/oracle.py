@@ -45,6 +45,7 @@ from math import comb
 from operator import mul
 from typing import Callable, Iterator
 
+from .checked import require_int
 from .cover import cover_pebbling_number
 from .errors import BudgetExceededError
 from .tree import Distribution, Tree, WeightFunction, tree_id
@@ -349,6 +350,7 @@ def verify_gamma(
     so both budgets raise where a scan of every size from 0 would.
     """
     started = time.perf_counter()
+    require_int(max_pebbles, "max_pebbles")
     if tree.n > MAX_VERTICES:
         raise BudgetExceededError(f"tree has {tree.n} vertices, oracle bound is {MAX_VERTICES}")
     # every scanned size is at most max_pebbles

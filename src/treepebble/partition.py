@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .checked import checked, pow2
+from .checked import checked, pow2, require_int
 from .tree import DirectedForest
 
 
@@ -85,6 +85,7 @@ def _require_nonincreasing(seq: Sequence[int], label: str) -> None:
 
 def partition_score(sizes: Sequence[int], t: int) -> int:
     """t*2^{a_1} + sum_{i>=2} 2^{a_i} - n + 1, in checked 64-bit arithmetic."""
+    require_int(t, "pebble target t")
     if t < 1:
         raise ValueError("pebble target t must be at least 1")
     seq = tuple(sizes)

@@ -51,7 +51,7 @@ def _reject(edges: Sequence, vertices: Sequence, reached: int) -> NoReturn:
     seen: set[tuple[str, str]] = set()
     for i, edge in enumerate(edges):
         try:
-            u, v = edge
+            u, v = () if isinstance(edge, str) else edge  # not a str's characters
         except (TypeError, ValueError):
             raise TreeFormatError(f"edge {i} is not a pair of vertex names: {edge!r}") from None
         names.add(_check_name(u))
@@ -87,8 +87,12 @@ class Tree:
     __slots__ = ("names", "index", "_adj", "_parent")
 
     def __init__(self, edges: Iterable[tuple[str, str]], vertices: Iterable[str] = ()):
+        if isinstance(vertices, str):
+            raise TreeFormatError(f"vertices is a str, not a collection of names: {vertices!r}")
         edges, vertices = list(edges), list(vertices)
         try:
+            if any(isinstance(edge, str) for edge in edges):  # it would unpack into its characters
+                raise ValueError
             us, vs = [u for u, _ in edges], [v for _, v in edges]
         except (TypeError, ValueError):  # a pair that is not two names
             _reject(edges, vertices, 0)

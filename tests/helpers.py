@@ -66,11 +66,13 @@ class ReferenceTree:
     """
 
     def __init__(self, edges: Iterable[tuple[str, str]], vertices: Iterable[str] = ()):
+        if isinstance(vertices, str):
+            raise TreeFormatError(f"vertices is a str, not a collection of names: {vertices!r}")
         names: set[str] = set()
         seen: set[tuple[str, str]] = set()
         for i, edge in enumerate(edges):
             try:
-                u, v = edge
+                u, v = () if isinstance(edge, str) else edge  # not a str's characters
             except (TypeError, ValueError):
                 raise TreeFormatError(f"edge {i} is not a pair of vertex names: {edge!r}") from None
             if type(u) is not str or u not in names:

@@ -1,10 +1,11 @@
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from treepebble import cli, parse_tree
+from treepebble import Tree, cli, parse_tree
 from treepebble.cli import run
 
 
@@ -390,6 +391,60 @@ def test_quadratic_warning(star, tmp_path, monkeypatch, argv, warns):
     monkeypatch.setattr(cli, "QUADRATIC_WARN_SIZE", 3)
     warning = f"warning: {argv[0]} repeats a linear pass for every root; 4 vertices will be slow\n"
     assert invoke(*argv) == (code, out, warning if warns else "")
+
+
+@pytest.fixture(scope="module")
+def recursive(tmp_path_factory):
+    """A folder holding a seeded 10^4-vertex random recursive tree ``t.tree`` (edges
+    ``v<parent> v<i>``), a demand, a distribution with a pile on v0, the witness's move list
+    and a 30-vertex random recursive tree ``small.tree``."""
+    folder = tmp_path_factory.mktemp("rootings")
+    rng = random.Random(27)
+    files = {
+        "t.tree": "".join(f"v{rng.randrange(i)} v{i}\n" for i in range(1, 10**4)),
+        "w.map": "v9999 1\nv5 2\n",
+        "d.map": "v0 1000000\n" + "".join(f"v{i} {rng.randint(0, 2)}\n" for i in range(1, 10**4)),
+        "small.tree": "".join(f"v{rng.randrange(i)} v{i}\n" for i in range(1, 30)),
+    }
+    for name, text in files.items():
+        (folder / name).write_text(text)
+    paths = [str(folder / name) for name in ("t.tree", "w.map", "d.map")]
+    code, moves, _ = invoke("witness", "--tree", paths[0], "--weights", paths[1], "--dist", paths[2])
+    assert code == 0
+    (folder / "m.moves").write_text(moves)
+    return folder
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [  # rootings measured, parse included
+        "simulate --tree t.tree --dist d.map --moves m.moves",  # 1
+        "partition --tree t.tree --root v0",  # 2
+        "tpebble --tree t.tree --root v0 -t 2",  # 2
+        "cover --tree t.tree --weights w.map",  # 2
+        "solvable --tree t.tree --weights w.map --dist d.map",  # 2
+        "witness --tree t.tree --weights w.map --dist d.map --root v0",  # 2
+        "extremal --tree t.tree --weights w.map",  # 3
+        "witness --tree t.tree --weights w.map --dist d.map",  # 3
+    ],
+)
+def test_rootings_per_command(recursive, monkeypatch, argv):
+    # every command but verify and the quadratic global tpebble roots the tree at most 3 times
+    roots = []
+    rooting = Tree._rooting
+    monkeypatch.setattr(Tree, "_rooting", lambda self, r: roots.append(r) or rooting(self, r))
+    code, _, err = invoke(*[str(recursive / t) if (recursive / t).exists() else t for t in argv.split()])
+    assert (code, err) == (0, "")
+    assert len(roots) <= 3
+
+
+def test_global_tpebble_roots_once_per_vertex(recursive, monkeypatch):
+    # one rooting to parse, then one per root scored
+    roots = []
+    rooting = Tree._rooting
+    monkeypatch.setattr(Tree, "_rooting", lambda self, r: roots.append(r) or rooting(self, r))
+    assert invoke("tpebble", "--tree", str(recursive / "small.tree"))[0] == 0
+    assert len(roots) == 1 + 30
 
 
 class TestDeterminism:

@@ -62,6 +62,20 @@ class TestTPebblingNumber:
         with pytest.raises(ValueError):
             t_pebbling_number(tree("a b"), "a", 0)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, "2", None, 0, -1], ids=repr)
+    def test_k_must_be_an_int_of_at_least_one(self, k):
+        # unchecked, a float prices a fractional target: 6.0 for k = 1.5 at a on a-b-c
+        t = tree("a b;b c")
+        message = (
+            "pebble target k must be at least 1"
+            if type(k) is int
+            else f"pebble target k must be an int, got {k!r}"
+        )
+        for score in (lambda: t_pebbling_number(t, "a", k), lambda: t_pebbling_global(t, k)):
+            with pytest.raises(ValueError) as info:
+                score()
+            assert str(info.value) == message
+
     def test_single_vertex_k_is_checked(self):
         t = Tree((), ("v",))
         assert t_pebbling_number(t, "v", INT64_MAX).value == INT64_MAX

@@ -152,6 +152,13 @@ class TestBudgets:
             verify_gamma(tree("a b"), WeightFunction({"a": 10**12}), max_pebbles=10**18)
         assert len(calls) <= 100
 
+    @pytest.mark.parametrize("max_pebbles", [2.5, 512.0, True, "512", None], ids=repr)
+    def test_max_pebbles_must_be_an_int(self, max_pebbles):
+        # unchecked, a float reaches the scan and fails there with a bare AttributeError
+        with pytest.raises(ValueError) as info:
+            verify_gamma(tree("a b;b c"), WeightFunction({"a": 1}), max_pebbles=max_pebbles)
+        assert str(info.value) == f"max_pebbles must be an int, got {max_pebbles!r}"
+
     def test_all_support_scans_stay_within_the_enumeration_limit(self):
         assert oracle.FULL_CONFIRM_LIMIT <= oracle.ENUM_LIMIT
 

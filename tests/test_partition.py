@@ -85,6 +85,18 @@ class TestPartitionScore:
         with pytest.raises(OverflowLimitError):
             partition_score((63,), 1)
 
+    @pytest.mark.parametrize("t", [1.5, 2.0, True, "2", None, 0, -1], ids=repr)
+    def test_t_must_be_an_int_of_at_least_one(self, t):
+        # unchecked, a float gives a float score: 7.0 for (2, 1) at t = 1.5
+        message = (
+            "pebble target t must be at least 1"
+            if type(t) is int
+            else f"pebble target t must be an int, got {t!r}"
+        )
+        with pytest.raises(ValueError) as info:
+            partition_score((2, 1), t)
+        assert str(info.value) == message
+
 
 def _random_forest(n, seed):
     rng = random.Random(seed)

@@ -232,6 +232,27 @@ def _caterpillar(n, rng):
     return Tree(list(zip(spine, spine[1:])) + legs)
 
 
+def _deep_families(n, rng):
+    """A spider, a caterpillar and a random recursive tree on ``n`` shuffled names.
+
+    Each vertex x > 0 hangs from an earlier one: the spider's x starts a leg at the hub 0 or
+    extends a random leg, the caterpillar's x extends a spine of 40 or is a leg on it.
+    """
+    ends: list[int] = []
+    spider = []
+    for x in range(1, n):
+        if not ends or rng.random() < 0.15:
+            ends.append(0)
+        leg = rng.randrange(len(ends))
+        spider.append((ends[leg], x))
+        ends[leg] = x
+    caterpillar = [(x - 1 if x < 40 else rng.randrange(40), x) for x in range(1, n)]
+    recursive = [(rng.randrange(x), x) for x in range(1, n)]
+    for edges in (spider, caterpillar, recursive):
+        names = [f"u{x:04d}" for x in rng.sample(range(10 * n), n)]
+        yield Tree([(names[a], names[b]) for a, b in edges])
+
+
 def _signed_instance(t, rng, big):
     """A few pebble piles and demands; with ``big`` they lie near 2^62, so folds can overflow."""
 
@@ -288,6 +309,26 @@ class TestSolveWitness:
                     solvable += 1
                     several += len(expected) > 1
         assert solvable > 2000 and several > 1800  # most cases order several batches
+
+    def test_move_order_matches_the_recursive_reference_on_larger_trees(self):
+        # deep subtrees among deficit siblings, which all_shapes(7) never has: a pile on the root
+        # feeds a demand on two in five vertices of 200-vertex spiders, caterpillars and random
+        # recursive trees; the pile outweighs 200 demands at depth 41, so every case is solvable
+        rng = random.Random(27)
+        deficit_batches, siblings = [], 0
+        for _ in range(3):
+            for t in _deep_families(200, rng):
+                for root in rng.sample(t.names, 4):
+                    w = WeightFunction({v: 1 for v in rng.sample(t.names, 80)})
+                    d = Distribution({**{v: rng.randint(0, 3) for v in t.names}, root: 2**60})
+                    expected = reference_witness(t, d, w, root)
+                    assert solve_witness(t, d, w, root) == expected, (t.edges, d, w, root)
+                    depth = t.distances_from(root)
+                    feeders = [m.src for m in expected if depth[m.dst] > depth[m.src]]
+                    deficit_batches.append(len(feeders))
+                    siblings += len(feeders) - len(set(feeders))
+        # every case feeds several deficits, and parents often feed several children
+        assert min(deficit_batches) >= 5 and sum(deficit_batches) > 900 and siblings > 100
 
 
 class TestSimulate:

@@ -85,12 +85,23 @@ class TestParseTree:
             ([("a", "b"), ("b",), ("c", "c")], "edge 1 is not a pair of vertex names: ('b',)"),
             ([("a", "a"), ("b",)], "self-loop at vertex 'a'"),
             ([("a", "#b"), None], "vertex name '#b' starts with '#' (reserved for comments)"),
+            (["ab", "bc"], "edge 0 is not a pair of vertex names: 'ab'"),
+            ([("a", "b"), "cd"], "edge 1 is not a pair of vertex names: 'cd'"),
+            ([("a", "a"), "cd"], "self-loop at vertex 'a'"),
         ],
     )
     def test_malformed_edge_rejected_in_edge_order(self, edges, message):
         with pytest.raises(TreeFormatError) as info:
             Tree(edges)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("edges", [[], [("v", "1")], [("a", "a")]])
+    def test_str_vertices_rejected(self, edges):
+        # a str would be read as one name per character; it is refused before any edge is read
+        for build in (Tree, ReferenceTree):
+            with pytest.raises(TreeFormatError) as info:
+                build(edges, "v1")
+            assert str(info.value) == "vertices is a str, not a collection of names: 'v1'"
 
     def test_str_subclass_names_accepted(self):
         # the bulk name check must take what the per-edge check takes, or valid input would
@@ -219,7 +230,7 @@ def _faults(edges, names, rng: random.Random):
 
 def _bad_names(edges, names, rng: random.Random):
     """``(label, edges, vertices)``: str-subclass or int names, a bad name at one seeded place,
-    or a pair of the wrong arity."""
+    a pair of the wrong arity or a str in place of a pair or of the bare names."""
 
     class S(str):
         pass
@@ -235,6 +246,8 @@ def _bad_names(edges, names, rng: random.Random):
     yield "three names in a pair", [*edges, ("a", "b", "c")], ()
     yield "one name in a pair", [("a",), *edges], ()
     yield "a pair that is an int", [*edges, 5], ()
+    yield "a pair that is a str", [*edges[:1], "ab", *edges[1:]], ()
+    yield "bare names in one str", edges, "".join(names)
 
 
 def test_constructor_matches_the_reference():
