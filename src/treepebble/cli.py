@@ -221,7 +221,6 @@ class _Command(NamedTuple):
     handler: Callable[[argparse.Namespace], tuple[int, dict]]
     # (stdout, payload, parsed arguments) -> None
     text: Callable[[IO[str], dict, argparse.Namespace], None]
-    all_roots: bool = False  # without --root, warn on stderr above QUADRATIC_WARN_SIZE vertices
 
 
 def _arg(*flags: str, **options) -> tuple:
@@ -248,7 +247,6 @@ COMMANDS = {
         ),
         _tpebble,
         _tpebble_text,
-        all_roots=True,
     ),
     "cover": _Command(
         "cover pebbling number and per-vertex score table",
@@ -334,8 +332,7 @@ def _execute(argv: Sequence[str] | None, out: IO[str], err: IO[str]) -> int:
         args.dist = parse_distribution(_read(args.dist), args.tree)
     if hasattr(args, "moves"):
         args.moves = parse_moves(_read(args.moves), args.tree)
-    all_roots = command.all_roots and getattr(args, "root", None) is None
-    if all_roots and args.tree.n > QUADRATIC_WARN_SIZE:
+    if args.command == "tpebble" and args.root is None and args.tree.n > QUADRATIC_WARN_SIZE:
         err.write(
             f"warning: {args.command} repeats a linear pass for every root; "
             f"{args.tree.n} vertices will be slow\n"

@@ -215,6 +215,7 @@ def brute_solvable(
     States that a weighted pebble sum proves hopeless are cut (see ``_solver``),
     which never changes the verdict.
     """
+    require_int(max_pebbles, "max_pebbles")
     if tree.n > MAX_VERTICES:
         raise BudgetExceededError(f"tree has {tree.n} vertices, oracle bound is {MAX_VERTICES}")
     if dist.size > max_pebbles:

@@ -116,6 +116,9 @@ def solve_witness(
     -c pebbles from their parent in pre-order (root outward), so a parent's
     own deficit is always settled before it feeds a child. Each vertex moves
     one batch at most. Requires the root's collapsed value to be nonnegative.
+
+    Raises OverflowLimitError when the batches would put more than 2^63 - 1
+    pebbles on a vertex at once, naming the name-smallest such vertex.
     """
     values, order, parent, depth = _collapse(tree, dist, weights, root)
     ir = order[-1]
@@ -123,6 +126,20 @@ def solve_witness(
         raise NotSolvableError(f"root '{root}' cannot be satisfied (collapsed value {values[ir]})")
 
     names = tree.names
+    # every move burns a pebble, so no vertex ever holds more than the distribution's size
+    if dist.size > INT64_MAX:
+        # a vertex peaks once its surplus children have sent, or once its own deficit arrives
+        peak = dist.row(tree)
+        for x in order[:-1]:
+            if values[x] >= 0:
+                peak[parent[x]] += values[x] // 2
+            else:
+                peak[x] -= values[x]
+        over = next((x for x, count in enumerate(peak) if count > INT64_MAX), None)
+        if over is not None:
+            raise OverflowLimitError(
+                f"witness would put more than {INT64_MAX} pebbles on '{names[over]}'"
+            )
     moves: list[PebblingMove] = []
     size = [1] * len(order)
     for x in order[:-1]:

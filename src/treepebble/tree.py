@@ -11,7 +11,7 @@ count and one rooting, and the per-edge loop runs only on rejected input,
 to choose the message. ``Tree(edges)`` splits its pairs into the columns;
 ``parse_tree`` takes them from one split of a canonical document (only
 ``u v`` lines, one space apart, each ended by a newline) and reads any
-other document line by line.
+other document by ``_token_runs``, the run reader of vertex maps and moves.
 ``Tree._toward`` is the one place that orients a tree toward a sink subtree;
 ``orient_toward``, ``minimal_subtree`` and cover's per-root scorer read it.
 
@@ -365,8 +365,11 @@ def parse_tree(text: str) -> Tree:
     tokens in one call. When it is canonical, only ``u v`` lines with one
     space between the names, each line ended by a newline (the last one may
     lack it), the tree is built from the two name columns of those tokens.
-    Any other document, comments and '#'-names included, goes through the
-    per-line loop, the one place that words a line error.
+    Any other document, comments and '#'-names included, is read by
+    ``_token_runs``: a run of equal ``u v`` lines gives at most two copies of
+    its edge (the second is the duplicate the constructor reports), and a
+    run whose line holds neither one nor two tokens is a line error at its
+    first line.
     """
     # canonical: no name starts with '#' and the tokens written back two to a line give the document
     if text[:1] != "#" and " #" not in text and "\n#" not in text:
@@ -378,12 +381,9 @@ def parse_tree(text: str) -> Tree:
             return tree
     edges: list[list[str]] = []
     singles: list[str] = []
-    # str.splitlines, as in _token_runs, so that line numbers count the same breaks
-    for lineno, tokens in enumerate([line.split() for line in text.splitlines()], 1):
-        if len(tokens) == 2 and not tokens[0].startswith("#"):
-            edges.append(tokens)
-        elif not tokens or tokens[0].startswith("#"):
-            continue
+    for lineno, tokens, k in _token_runs(text):
+        if len(tokens) == 2:
+            edges += [tokens] * min(k, 2)  # a second copy is already the duplicate Tree reports
         elif len(tokens) == 1:
             singles.append(tokens[0])
         else:

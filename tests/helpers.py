@@ -384,6 +384,37 @@ def reference_cover(t: Tree, weights: WeightFunction) -> tuple[int, str, dict[st
     return gamma, root, table, Distribution(piles + [(root, demand - 1)])
 
 
+def weight_function_bound(t: Tree, r: str) -> int:
+    """Total weight of the height strategy for target ``r``, after checking its condition.
+
+    Rooted at ``r``: w(r) = 0 and w(v) = 2^h(v) elsewhere, h(v) the edge count from v to the
+    farthest leaf below it. Hurlbert's Weight Function Lemma ("The weight function lemma for
+    graph pebbling", J. Comb. Optim. 34, 2017) needs w(parent(v)) >= 2 w(v) whenever
+    parent(v) != r; then every r-unsolvable D has sum w(v) D(v) <= sum w(v). As w >= 1 off
+    ``r`` and D(r) = 0, such a D has at most the returned total of pebbles, so f_1(t, r) is at
+    most that total plus one, with no appeal to the path-partition theorem.
+    """
+    adj: dict[str, list[str]] = {v: [] for v in t.names}
+    for u, v in t.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = {r: r}
+    order = [r]
+    for x in order:  # breadth first: every parent comes before its children
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    height = dict.fromkeys(t.names, 0)
+    for x in reversed(order[1:]):
+        height[parent[x]] = max(height[parent[x]], height[x] + 1)
+    w = {v: 2 ** height[v] for v in t.names}
+    w[r] = 0
+    for v in order[1:]:
+        assert parent[v] == r or w[parent[v]] >= 2 * w[v], (r, v)
+    return sum(w.values())
+
+
 def reference_t_pebbling(t: Tree, v: str, k: int) -> tuple[int, PathPartition]:
     part = greedy_partition(t.orient_toward((v,)))
     return (partition_score(part.sizes, k) if part.sizes else k), part

@@ -1,11 +1,14 @@
 import io
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treepebble import Tree, cli, parse_tree
+from treepebble import Tree, cli, parse_tree, random_tree, serialize_tree
 from treepebble.cli import run
 
 
@@ -162,6 +165,41 @@ class TestWitnessSimulateRoundTrip:
         replay = invoke("simulate", "--tree", str(tree), "--dist", str(dist), "--moves", str(moves))
         assert replay == (0, f"# final size={pile - k}\n{final}", "")
 
+    @pytest.mark.parametrize(
+        "edges,dist,demand,root,moves,vertex",
+        [
+            ("a b\n", "a 9223372036854775807\nb 2\n", "a 1\n", (), "b a\n", "a"),
+            (
+                "p x\nx c\n",
+                "p 4\nx 9223372036854775807\n",
+                "x 9223372036854775807\nc 1\n",
+                (),
+                "p x 2\nx c\n",
+                "x",
+            ),
+            (
+                "p x\nx c\n",
+                "p 4\nx 9223372036854775807\n",
+                "x 9223372036854775807\nc 1\n",
+                ("--root", "p"),
+                "p x 2\nx c\n",
+                "x",
+            ),
+        ],
+        ids=["surplus onto a full root", "surplus phase", "deficit phase"],
+    )
+    def test_a_pile_past_2_63_is_refused(self, tmp_path, edges, dist, demand, root, moves, vertex):
+        # unguarded, witness printed `moves` and exited 0, and simulate refused their replay
+        files = {"t.tree": edges, "d.map": dist, "w.map": demand, "m.moves": moves}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        tree, dist, weights, moves = (str(tmp_path / name) for name in files)
+        got = invoke("witness", "--tree", tree, "--weights", weights, "--dist", dist, *root)
+        past = f"would put more than {2**63 - 1} pebbles on '{vertex}'"
+        assert got == (3, "", f"error: OVERFLOW: witness {past}\n")
+        replay = invoke("simulate", "--tree", tree, "--dist", dist, "--moves", moves)
+        assert replay == (3, "", f"error: OVERFLOW: move 0 {past}\n")
+
     def test_witness_on_unsolvable_errors(self, tmp_path):
         tree = tmp_path / "t.tree"
         tree.write_text("a b\n")
@@ -187,6 +225,66 @@ class TestWitnessSimulateRoundTrip:
         )
         assert code == 1
         assert out.startswith("ILLEGAL 0 ")
+
+
+# counts at and just past the 2^62 and 2^63 limits, next to small ones
+_COUNTS = st.one_of(
+    st.integers(0, 9), st.sampled_from([2**62 - 1, 2**62, 2**62 + 1, 2**63 - 2, 2**63 - 1])
+)
+
+
+@st.composite
+def _hostile_instances(draw):
+    """A small random tree or a 60-70-vertex path, with a demand, a distribution, a ``-t``
+    and a root drawn from hostile counts."""
+    if draw(st.booleans()):
+        t = random_tree(draw(st.integers(1, 12)), draw(st.integers(0, 10**6)))
+    else:
+        n = draw(st.integers(60, 70))
+        t = Tree([(f"p{i:02d}", f"p{i + 1:02d}") for i in range(n - 1)])
+    vertex_maps = st.dictionaries(st.sampled_from(t.names), _COUNTS, max_size=4)
+    return t, draw(vertex_maps), draw(vertex_maps), draw(_COUNTS), draw(st.sampled_from(t.names))
+
+
+@pytest.fixture(scope="module")
+def hostile_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile")
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=_hostile_instances())
+def test_hostile_counts_get_an_answer_or_one_error_line(hostile_dir, instance):
+    # verify is left out: its memo may hold 10^7 states, gigabytes of memory
+    t, demand, dist, target, root = instance
+    files = {
+        "tree": serialize_tree(t),
+        "weights": "".join(f"{v} {k}\n" for v, k in demand.items()),
+        "dist": "".join(f"{v} {k}\n" for v, k in dist.items()),
+    }
+    for name, text in files.items():
+        (hostile_dir / name).write_text(text)
+    tree, weights, dist_file = (str(hostile_dir / name) for name in files)
+    maps = ("--tree", tree, "--weights", weights, "--dist", dist_file)
+    for argv in [
+        ("cover", "--tree", tree, "--weights", weights),
+        ("extremal", "--tree", tree, "--weights", weights),
+        ("solvable", *maps),
+        ("witness", *maps),
+        ("witness", *maps, "--root", root),
+        ("tpebble", "--tree", tree, "-t", str(target)),
+        ("tpebble", "--tree", tree, "-t", str(target), "--root", root),
+    ]:
+        code, out, err = invoke(*argv)
+        assert code in (0, 1, 2, 3), (argv, err)
+        assert err == "" or re.fullmatch(r"error: [A-Z_]+: [^\n]+\n", err), (argv, err)
+        if argv[0] == "witness" and code == 0:
+            moves = hostile_dir / "moves"
+            moves.write_text(out)
+            code, out, err = invoke("simulate", "--tree", tree, "--dist", dist_file,
+                                    "--moves", str(moves), "--json")
+            assert (code, err) == (0, ""), (argv, out, err)
+            final = json.loads(out)["final"]
+            assert all(final.get(v, 0) >= k for v, k in demand.items()), (argv, final)
 
 
 class TestExtremalCommand:

@@ -34,6 +34,7 @@ from helpers import (
     reference_s_omega,
     reference_t_pebbling,
     tree,
+    weight_function_bound,
 )
 
 
@@ -578,3 +579,40 @@ def test_extremal_plus_one_pebble_is_solvable():
             if result.gamma <= 2**14:
                 moves = solve_witness(t, d, w, cert.witness_root)
                 assert simulate(t, d, moves).dominates(w)
+
+
+def _certificate_families(n, rng):
+    """A random recursive tree, a caterpillar on a spine of 40, a spider with legs of 1-40
+    and a complete binary tree, on ``n`` shuffled names."""
+    yield _named([(rng.randrange(x), x) for x in range(1, n)], n, rng)
+    yield _named([(x - 1 if x < 40 else rng.randrange(40), x) for x in range(1, n)], n, rng)
+    edges, x = [], 1
+    while x < n:
+        prev = 0
+        for _ in range(rng.randint(1, 40)):
+            if x < n:
+                edges.append((prev, x))
+                prev, x = x, x + 1
+    yield _named(edges, n, rng)
+    yield _named([((x - 1) // 2, x) for x in range(1, n)], n, rng)
+
+
+def test_weight_function_certificates_past_the_oracle():
+    # f_1(T, r) from both sides at 10^3-10^4 vertices: the weight function lemma bounds every
+    # unsolvable distribution by the strategy's total, and the extremal one has that size and
+    # is unsolvable; a root of height 62 or more scores past 64 bits and is skipped
+    rng = random.Random(2017)
+    checked = 0
+    for n in (1000, 3000, 10**4):
+        for t in _certificate_families(n, rng):
+            for r in rng.sample(t.names, 3):
+                if max(t.distances_from(r).values()) >= 62:
+                    continue
+                total = weight_function_bound(t, r)
+                w = WeightFunction({r: 1})
+                assert t_pebbling_number(t, r, 1).value == total + 1, (n, r)
+                d = extremal_distribution(t, w)
+                assert d.size == total, (n, r)
+                assert not is_solvable(t, d, w).solvable, (n, r)
+                checked += 1
+    assert checked >= 30

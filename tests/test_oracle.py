@@ -65,6 +65,16 @@ class TestBruteSolvable:
         assert brute_solvable(path, Distribution({"a": 64}), end, max_pebbles=10**18)
         assert not brute_solvable(path, Distribution({"a": 63}), end, max_pebbles=10**18)
 
+    @pytest.mark.parametrize("max_pebbles", [2.5, True, "9", None], ids=repr)
+    def test_max_pebbles_must_be_an_int(self, max_pebbles):
+        # unchecked, True and 2.5 were taken as bounds and "9" raised a bare TypeError
+        with pytest.raises(ValueError) as info:
+            brute_solvable(
+                tree("a b;b c"), Distribution({"a": 4}), WeightFunction({"c": 1}),
+                max_pebbles=max_pebbles,
+            )
+        assert str(info.value) == f"max_pebbles must be an int, got {max_pebbles!r}"
+
     def test_error_order(self):
         # vertex bound, then pebble bound, then demand names, then pebble names
         path = tree("v0 v1;v1 v2;v2 v3")

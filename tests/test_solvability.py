@@ -291,6 +291,39 @@ class TestSolveWitness:
         with pytest.raises(NotSolvableError):
             solve_witness(t, Distribution({"a": 1}), WeightFunction({"b": 1}), "b")
 
+    @pytest.mark.parametrize(
+        "edges,dist,demand,root,vertex",
+        [
+            ("a b", {"a": INT64_MAX, "b": 2}, {"a": 1}, "a", "a"),
+            ("p x;x c", {"p": 4, "x": INT64_MAX}, {"x": INT64_MAX, "c": 1}, "c", "x"),
+            ("p x;x c", {"p": 4, "x": INT64_MAX}, {"x": INT64_MAX, "c": 1}, "p", "x"),
+        ],
+        ids=["surplus onto a full root", "surplus phase", "deficit phase"],
+    )
+    def test_a_pile_past_2_63_is_refused(self, edges, dist, demand, root, vertex):
+        # unguarded, these batches were returned and simulate refused them at move 0
+        t, d, w = tree(edges), Distribution(dist), WeightFunction(demand)
+        assert is_solvable(t, d, w).hat_values[root] >= 0
+        with pytest.raises(OverflowLimitError) as info:
+            solve_witness(t, d, w, root)
+        assert str(info.value) == f"witness would put more than {INT64_MAX} pebbles on '{vertex}'"
+
+    @pytest.mark.parametrize(
+        "edges,dist,demand,root",
+        [
+            ("a b", {"a": INT64_MAX - 2, "b": 4}, {"a": 1}, "a"),
+            ("a b;b c", {"a": 2**62, "c": 2**62}, {"b": 1}, "b"),
+            ("p x;x c", {"p": 4, "x": INT64_MAX - 2}, {"x": INT64_MAX - 2, "c": 1}, "p"),
+        ],
+        ids=["root filled to 2^63-1", "two piles of 2^62", "deficit filled to 2^63-1"],
+    )
+    def test_a_distribution_past_2_63_replays_when_no_vertex_overflows(
+        self, edges, dist, demand, root
+    ):
+        t, d, w = tree(edges), Distribution(dist), WeightFunction(demand)
+        assert d.size > INT64_MAX
+        assert simulate(t, d, solve_witness(t, d, w, root)).dominates(w)
+
     def test_move_order_matches_the_recursive_reference(self):
         # surplus batches in post-order, then deficit batches in pre-order, children by name
         rng = random.Random(26)
