@@ -23,8 +23,13 @@ most to meet the demand from, one pebble short of that cost. When the
 search proves the pile unsolvable, downward closure gives every smaller
 size an unsolvable distribution too, so the scan starts one size above
 the pile, from the pile as witness. The price only picks the pile; the
-search decides it. A report's ``distributions_checked`` counts every start
-state tried, the pile and the extensions included.
+search decides it. Twin leaves, leaves with the same neighbour and the
+same demand, can be swapped by an automorphism of (T, w), so a start and
+its swap share a verdict: the scan searches one start per orbit of such
+swaps, the canonical one whose counts do not increase along each twin
+class, and gives the others their canonical twin's verdict. A report's
+``distributions_checked`` counts every start state decided, by a search
+or by its canonical twin's verdict, the pile and the extensions included.
 
 Each search state is one int: a count field per vertex, a met field per
 demanded vertex and a filter field per weighted sum, each biased so that
@@ -40,10 +45,9 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from itertools import chain
 from math import comb
 from operator import mul
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .checked import require_int
 from .cover import cover_pebbling_number
@@ -224,15 +228,23 @@ def brute_solvable(
     return solve(zero + sum(map(mul, dist.row(tree), unit)))
 
 
-def _packed_compositions(total: int, units: list[int], base: int) -> Iterator[int]:
+def _packed_compositions(
+    total: int, units: list[int], base: int, caps: list[int] | None = None
+) -> Iterator[int]:
     """``base`` plus sum_i c_i * units[i] over the weak compositions c of ``total``,
     first coordinate descending. Every tree has a leaf, so ``units`` is never empty.
 
+    ``caps[i] = j``, with j < i, keeps only the compositions with c_i <= c_j,
+    and -1 caps nothing: the capped sequence is the uncapped one with the
+    other compositions left out, in the same order.
+
     An odometer over all coordinates but the final one, whose last (the
-    pivot) holds what the others leave: each reading yields every split of
-    the pivot's pebbles with the final coordinate, then takes one pebble off
-    the last nonzero coordinate before the pivot and moves it, with the
-    pivot's pebbles, to the coordinate after it.
+    pivot) holds what the others leave: each reading yields the splits of
+    the pivot's pebbles with the final coordinate whose final share lies in
+    the range [lo, hi] that the caps on those two allow, then takes one
+    pebble off the last nonzero coordinate before the pivot and moves it,
+    with the pivot's pebbles, to the coordinate after it. A reading whose
+    coordinates before the pivot break a cap yields nothing.
     """
     *odometer, final = units
     if not odometer:
@@ -240,15 +252,31 @@ def _packed_compositions(total: int, units: list[int], base: int) -> Iterator[in
         return
     pivot = len(odometer) - 1
     step = final - odometer[pivot]
+    held, pivot_cap, final_cap = [], -1, -1
+    if caps is not None:
+        held = [(i, j) for i, j in enumerate(caps[:pivot]) if j >= 0]
+        pivot_cap, final_cap = caps[pivot], caps[-1]
     counts = [total] + [0] * pivot
     state = base + total * odometer[0]
     while True:
         rest = counts[pivot]
-        split = state
-        yield split
-        for _ in range(rest):
-            split += step
+        # the final coordinate takes f of the pivot's pebbles, lo <= f <= hi
+        lo, hi = 0, rest
+        if pivot_cap >= 0 and rest > counts[pivot_cap]:
+            lo = rest - counts[pivot_cap]
+        if final_cap >= 0:
+            hi = rest // 2 if final_cap == pivot else min(rest, counts[final_cap])
+        if held:
+            for i, j in held:
+                if counts[i] > counts[j]:
+                    hi = -1
+                    break
+        if lo <= hi:
+            split = state + lo * step
             yield split
+            for _ in range(hi - lo):
+                split += step
+                yield split
         i = pivot - 1
         while i >= 0 and not counts[i]:
             i -= 1
@@ -258,6 +286,42 @@ def _packed_compositions(total: int, units: list[int], base: int) -> Iterator[in
         counts[pivot] = 0
         counts[i + 1] = rest + 1
         state += (rest + 1) * odometer[i + 1] - rest * odometer[pivot] - odometer[i]
+
+
+def _composition_rank(counts: list[int]) -> int:
+    """How many weak compositions of the same total into as many parts come
+    before ``counts`` in ``_packed_compositions``'s order.
+
+    Those that agree with it before coordinate i and hold more at i leave at
+    most rest - c_i - 1 pebbles to the q coordinates after i, and there are
+    C(rest - c_i - 1 + q, q) ways to do that.
+    """
+    rank, rest, after = 0, sum(counts), len(counts)
+    for c in counts[:-1]:
+        after -= 1
+        rank += comb(rest - c - 1 + after, after)
+        rest -= c
+    return rank
+
+
+def _twin_caps(tree: Tree, demand: list[int], members: Sequence[int]) -> list[int]:
+    """For each position of ``members``, vertex indices in index order, the
+    position of the last member before it that is its twin leaf, or -1.
+
+    Twin leaves have the same neighbour and the same demand, so swapping two
+    is an automorphism of (T, w), and a start and its swap share a verdict.
+    """
+    last: dict[tuple[int, int], int] = {}
+    caps = []
+    for pos, v in enumerate(members):
+        row = tree._adj[v]
+        if len(row) == 1:
+            key = (row[0], demand[v])
+            caps.append(last.get(key, -1))
+            last[key] = pos
+        else:
+            caps.append(-1)
+    return caps
 
 
 def _leaf_pile(tree: Tree, weights: WeightFunction) -> tuple[int, int]:
@@ -342,8 +406,25 @@ def verify_gamma(
     size gamma - 1. Status is MISMATCH when formula and oracle disagree;
     callers must treat that as a failure.
 
-    ``distributions_checked`` counts every start state passed to the
-    solver: the pile, extensions and compositions. A leaf scan is held to
+    Twin leaves have the same neighbour and the same demand. Swapping two
+    is an automorphism of (T, w), so it maps solvable starts to solvable
+    ones, and the search is asked about one start per orbit of such swaps.
+    A composition is canonical when its counts do not increase, in index
+    order, within each class of twins. The scan meets compositions with
+    the first coordinate descending, and sorting one within its twin
+    classes (larger counts to earlier twins) never moves it later in that
+    order, so the first unsolvable composition is canonical: the scan
+    enumerates only canonical ones and stops where the full scan would.
+    An extension onto a leaf whose witness count equals that of an earlier
+    twin mirrors the extension onto that twin, which was found solvable,
+    and is not searched either.
+
+    ``distributions_checked`` counts every start state decided, by a
+    search or by the verdict of its canonical twin: the pile, each
+    extension, and the compositions up to the first unsolvable one (its
+    lex rank plus one), or all C(k + p - 1, p - 1) compositions of k over
+    p vertices at gamma. It is the number of starts an unreduced scan
+    passes to the solver. A leaf scan is held to
     ``ENUM_LIMIT`` by its full composition count before it is tried (sizes
     up to P before the pile, the first one past the limit found by
     bisection); an all-vertex scan stays within ``FULL_CONFIRM_LIMIT``,
@@ -356,15 +437,25 @@ def verify_gamma(
         raise BudgetExceededError(f"tree has {tree.n} vertices, oracle bound is {MAX_VERTICES}")
     # every scanned size is at most max_pebbles
     solve, zero, all_units, row_of = _solver(tree, weights, max(max_pebbles, 0))
-    leaf_units = [all_units[tree.index[name]] for name in tree.leaves()]
+    demand = weights.row(tree)
+    every = range(tree.n)
+    leaves = [tree.index[name] for name in tree.leaves()]
+    leaf_units = [all_units[v] for v in leaves]
+    leaf_caps = _twin_caps(tree, demand, leaves)
+    # per confirmation: the support's vertices, their packed pebbles and twin caps
+    supports = {
+        "full": (every, all_units, _twin_caps(tree, demand, every)),
+        "leaves": (leaves, leaf_units, leaf_caps),
+    }
     checked_count = 0
 
-    def hold(size: int, parts: int) -> None:
+    def hold(size: int, parts: int) -> int:
         count = _composition_count(size, parts)
         if count > ENUM_LIMIT:
             raise BudgetExceededError(
                 f"{count} distributions of size {size} exceed enumeration limit {ENUM_LIMIT}"
             )
+        return count
 
     witness_state = None
     k = 0
@@ -389,20 +480,35 @@ def verify_gamma(
     while weights.support:
         if k > max_pebbles:
             raise BudgetExceededError(f"size scan passed max_pebbles={max_pebbles}")
-        if _composition_count(k, tree.n) <= FULL_CONFIRM_LIMIT:
-            confirmation, units = "full", all_units
-        else:
-            confirmation, units = "leaves", leaf_units
-        hold(k, len(units))
-        # the last witness plus one leaf pebble first, then every composition
-        extensions = [] if witness_state is None else [witness_state + unit for unit in leaf_units]
-        for state in chain(extensions, _packed_compositions(k, units, zero)):
-            checked_count += 1
-            if not solve(state):
-                witness_state, k = state, k + 1
+        confirmation = "full" if _composition_count(k, tree.n) <= FULL_CONFIRM_LIMIT else "leaves"
+        members, units, caps = supports[confirmation]
+        count = hold(k, len(units))
+        # the last witness plus one leaf pebble first, then the compositions
+        bad = None
+        if witness_state is not None:
+            row = row_of(witness_state)
+            for pos, unit in enumerate(leaf_units):
+                checked_count += 1
+                twin = leaf_caps[pos]
+                while twin >= 0 and row[leaves[twin]] != row[leaves[pos]]:
+                    twin = leaf_caps[twin]
+                # with an earlier twin as full, this extension mirrors that
+                # twin's, which was found solvable
+                if twin < 0 and not solve(witness_state + unit):
+                    bad = witness_state + unit
+                    break
+        if bad is None:
+            for state in _packed_compositions(k, units, zero, caps):
+                if not solve(state):
+                    bad = state
+                    break
+            else:
+                checked_count += count
                 break
-        else:
-            break
+            # each composition before it was decided, by a search or by its canonical twin's
+            row = row_of(bad)
+            checked_count += _composition_rank([row[v] for v in members]) + 1
+        witness_state, k = bad, k + 1
 
     witness = None if witness_state is None else Distribution.from_row(tree, row_of(witness_state))
     formula = cover_pebbling_number(tree, weights).gamma

@@ -652,6 +652,78 @@ def reference_verify_gamma(
     )
 
 
+def unreduced_verify_gamma(
+    tree: Tree, weights: WeightFunction, *, max_pebbles: int = 512
+) -> oracle.VerificationReport:
+    """``verify_gamma``'s climb with every start state searched.
+
+    The same pile, extensions and confirmations, in the same order, but
+    each extension and each composition of a scanned size goes to the
+    solver, twins or not, and ``distributions_checked`` counts the calls.
+    The report's ``elapsed`` is 0. It shares the oracle's packed solver
+    (looked up at call time, so a wrapper sees its calls) and its uncapped
+    enumerator, and reads the module's limits at call time.
+    """
+    if tree.n > oracle.MAX_VERTICES:
+        raise BudgetExceededError(
+            f"tree has {tree.n} vertices, oracle bound is {oracle.MAX_VERTICES}"
+        )
+    solve, zero, all_units, row_of = oracle._solver(tree, weights, max(max_pebbles, 0))
+    leaf_units = [all_units[tree.index[name]] for name in tree.leaves()]
+    checked_count = 0
+
+    def hold(size: int, parts: int) -> None:
+        count = _composition_count(size, parts)
+        if count > oracle.ENUM_LIMIT:
+            raise BudgetExceededError(
+                f"{count} distributions of size {size} exceed enumeration limit {oracle.ENUM_LIMIT}"
+            )
+
+    witness_state = None
+    k = 0
+    leaf, pile = oracle._leaf_pile(tree, weights)
+    pile = min(pile, max_pebbles)
+    if pile >= 1:
+        lo, hi = 0, pile
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _composition_count(mid, len(leaf_units)) > oracle.ENUM_LIMIT else (mid + 1, hi)
+        hold(lo, len(leaf_units))
+        state = zero + pile * all_units[leaf]
+        checked_count += 1
+        if not solve(state):
+            witness_state, k = state, pile + 1
+    confirmation = "full"
+    while weights.support:
+        if k > max_pebbles:
+            raise BudgetExceededError(f"size scan passed max_pebbles={max_pebbles}")
+        if _composition_count(k, tree.n) <= oracle.FULL_CONFIRM_LIMIT:
+            confirmation, units = "full", all_units
+        else:
+            confirmation, units = "leaves", leaf_units
+        hold(k, len(units))
+        extensions = [] if witness_state is None else [witness_state + unit for unit in leaf_units]
+        for state in itertools.chain(extensions, oracle._packed_compositions(k, units, zero)):
+            checked_count += 1
+            if not solve(state):
+                witness_state, k = state, k + 1
+                break
+        else:
+            break
+    formula = cover_pebbling_number(tree, weights).gamma
+    return oracle.VerificationReport(
+        tree_id=oracle.tree_id(tree),
+        omega=weights,
+        formula_gamma=formula,
+        oracle_gamma=k,
+        status="PASS" if formula == k else "MISMATCH",
+        unsolvable_witness=None if witness_state is None else Distribution.from_row(tree, row_of(witness_state)),
+        distributions_checked=checked_count,
+        elapsed=0.0,
+        confirmation=confirmation,
+    )
+
+
 def enumerate_distributions(
     tree: Tree,
     size: int,

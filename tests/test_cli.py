@@ -226,6 +226,31 @@ class TestWitnessSimulateRoundTrip:
         assert code == 1
         assert out.startswith("ILLEGAL 0 ")
 
+    @pytest.mark.parametrize(
+        "moves,expected",
+        [
+            ("a b 9223372036854775807\n", (1, "ILLEGAL 4611686018427387903 source 'a' has 1 pebbles\n", "")),
+            (
+                # one run of 2 * (2^63 - 1) moves, past 2^63 in all
+                "a b 9223372036854775807\na b 9223372036854775807\n",
+                (1, "ILLEGAL 4611686018427387903 source 'a' has 1 pebbles\n", ""),
+            ),
+            (
+                "a b 9223372036854775808\n",
+                (3, "", "error: OVERFLOW: line 1: move count exceeds the signed 64-bit range\n"),
+            ),
+        ],
+        ids=["2^63-1 moves", "two lines of 2^63-1", "2^63 moves"],
+    )
+    def test_move_counts_near_2_63(self, tmp_path, moves, expected):
+        # 2^63 - 1 pebbles on a make (2^63 - 1) // 2 legal moves, the first illegal one is counted
+        # from 0, and a count past the signed 64-bit range is refused before any move
+        files = {"t.tree": "a b\n", "d.map": "a 9223372036854775807\n", "m.moves": moves}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        tree, dist, moves = (str(tmp_path / name) for name in files)
+        assert invoke("simulate", "--tree", tree, "--dist", dist, "--moves", moves) == expected
+
 
 # counts at and just past the 2^62 and 2^63 limits, next to small ones
 _COUNTS = st.one_of(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from math import comb
@@ -28,6 +29,7 @@ from helpers import (
     reference_solver,
     reference_verify_gamma,
     tree,
+    unreduced_verify_gamma,
     weight_functions,
 )
 
@@ -389,6 +391,88 @@ class TestClimbAgainstTheReferenceScan:
                 monkeypatch.setattr(oracle, "MEMO_LIMIT", cap)
                 expected = _outcome(reference_verify_gamma, t, w)
                 assert _outcome(verify_gamma, t, w) == expected, (case, cap)
+
+
+def _report_fields(report):
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report) if f.name != "elapsed"}
+
+
+def _twin_cases():
+    # every small demand up to 6 vertices, and seeded demands at 7 and 8
+    cases = [(t, w) for t in all_shapes(6) for w in weight_functions(t, max_entry=2, max_total=3)]
+    rng = random.Random(20261021)
+    for n in (7, 8):
+        for _ in range(6):
+            t = random_tree(n, rng.randrange(2**32))
+            cases.append((t, random_weights(t, rng.randint(1, 2), rng)))
+    return cases
+
+
+class TestTwinOrbits:
+    """The scan searches one start per orbit of swaps of twin leaves and
+    counts the rest; the unreduced scan searches every start. Both must
+    report the same gamma, witness, confirmation and count."""
+
+    def test_same_report_as_the_unreduced_scan(self):
+        cases = _twin_cases()
+        assert len(cases) == 697 + 12
+        for t, w in cases:
+            got, expected = verify_gamma(t, w), unreduced_verify_gamma(t, w)
+            assert _report_fields(got) == _report_fields(expected), (t.edges, dict(w.items()))
+
+    def test_capped_odometer_yields_the_canonical_subsequence(self):
+        # under a zero demand, leaves with one neighbour are twins
+        capped = 0
+        for t in all_shapes(7):
+            _, zero, unit, _ = oracle._solver(t, WeightFunction({}), 6)
+            for members in (range(t.n), [t.index[name] for name in t.leaves()]):
+                caps = oracle._twin_caps(t, [0] * t.n, members)
+                capped += max(caps) >= 0
+                units = [unit[v] for v in members]
+                for total in range(7):
+                    canonical = [
+                        zero + sum(map(mul, c, units))
+                        for c in compositions(total, len(units))
+                        if all(j < 0 or c[i] <= c[j] for i, j in enumerate(caps))
+                    ]
+                    got = list(oracle._packed_compositions(total, units, zero, caps))
+                    assert got == canonical, (t.edges, list(members), total)
+        assert capped == 2 * 16  # 16 shapes of up to 7 vertices have twin leaves
+
+    def test_composition_rank_is_the_position_in_the_scan(self):
+        for parts in range(1, 8):
+            for total in range(7):
+                for rank, c in enumerate(compositions(total, parts)):
+                    assert oracle._composition_rank(list(c)) == rank, c
+
+    @pytest.mark.parametrize(
+        "doc,demand,fewer",
+        [
+            ("c a;c b;c d;c x;x y", {"y": 2}, True),  # a, b and d are twins
+            ("c a;c b;c d;c x;x y", {"a": 1, "b": 2, "y": 1}, False),  # no two leaves share a demand
+            ("a b;b c;c d;d e", {"e": 2}, False),  # a path: no two leaves share a neighbour
+        ],
+    )
+    def test_twins_save_solver_calls(self, monkeypatch, doc, demand, fewer):
+        calls, solver = [], oracle._solver
+
+        def counting_solver(*args):
+            solve, *rest = solver(*args)
+
+            def counted(state):
+                calls.append(state)
+                return solve(state)
+
+            return (counted, *rest)
+
+        monkeypatch.setattr(oracle, "_solver", counting_solver)
+        t, w = tree(doc), WeightFunction(demand)
+        report = verify_gamma(t, w)
+        reduced = len(calls)
+        calls.clear()
+        unreduced_verify_gamma(t, w)
+        assert report.distributions_checked == len(calls)
+        assert (reduced < len(calls)) if fewer else (reduced == len(calls))
 
 
 def _max_unsolvable_size(t, w, ceiling, support=None):
