@@ -1,20 +1,22 @@
 """Closed-form pebbling numbers of trees.
 
 ``t_pebbling_number`` prices delivering k pebbles to a single vertex: it
-roots the tree at ``v`` and scores the sizes of ``long_paths`` over that
-rooting, the maximum path partition toward ``v`` (Chung 1989, *Pebbling in
-hypercubes*). ``cover_pebbling_number`` prices meeting a whole nonnegative
+roots the tree at ``v`` and scores the path sizes of the maximum path
+partition toward ``v`` (Chung 1989, *Pebbling in hypercubes*), which
+``path_sizes`` reads off one height pass over that rooting without listing
+any path. ``cover_pebbling_number`` prices meeting a whole nonnegative
 demand map at once, as the largest score over all roots. One root's score
 is read off the maximum path partition of its remainder forest, oriented
 toward the Steiner subtree of the root and the demand by ``Tree._toward``,
 the one place that orients a tree toward a sink. So every partition this
-module scores is ``long_paths`` over an index rooting; the named partitions
-of ``max_path_partition`` serve only the ``partition`` command and library
-callers. Each path of size s is a pile of 2^s - 1 pebbles (``s_omega_at``
-sums them, ``_extremal_at`` places them). ``cover_pebbling_number`` gets
-every root's score in one rerooting pass over depths and subtree heights
-instead, since a partition path of size s is worth the 2^s - 1 that the
-2^height of its non-sink vertices sum to.
+module reads comes from an index rooting: sizes alone from ``path_sizes``,
+paths from ``long_paths`` where a pile needs its source; the named
+partitions of ``max_path_partition`` serve only the ``partition`` command
+and library callers. Each path of size s is a pile of 2^s - 1 pebbles
+(``s_omega_at`` sums them, ``_extremal_at`` places them).
+``cover_pebbling_number`` gets every root's score in one rerooting pass
+over depths and subtree heights instead, since a partition path of size s
+is worth the 2^s - 1 that the 2^height of its non-sink vertices sum to.
 ``extremal_distribution`` realizes the matching lower bound with an
 unsolvable distribution one pebble short.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .checked import INT64_MAX, checked, pow2, require_int
-from .partition import long_paths, partition_score
+from .partition import long_paths, partition_score, path_sizes
 from .tree import Distribution, Tree, WeightFunction
 
 
@@ -54,16 +56,17 @@ class CoverResult:
 def t_pebbling_number(tree: Tree, v: str, k: int = 1) -> TPebblingResult:
     """Minimum pebble count that guarantees moving ``k`` pebbles onto ``v``.
 
-    Roots the tree at ``v`` once and scores the sizes of the maximum path
-    partition toward it: k*2^{a_1} + sum_{i>=2} 2^{a_i} - r + 1 over its r
-    path sizes a_1 >= a_2 >= ... (``partition_score``). A single-vertex tree
-    needs exactly ``k`` pebbles.
+    Roots the tree at ``v`` once, reads the sizes of the maximum path
+    partition toward it off one height pass (``path_sizes``, no path is
+    listed) and scores them: k*2^{a_1} + sum_{i>=2} 2^{a_i} - r + 1 over its
+    r path sizes a_1 >= a_2 >= ... (``partition_score``). A single-vertex
+    tree needs exactly ``k`` pebbles.
     """
     require_int(k, "pebble target k")
     if k < 1:
         raise ValueError("pebble target k must be at least 1")
-    order, out, _ = tree._rooting(tree._require(v))
-    sizes = tuple([len(p) - 1 for p in long_paths(out, order)])
+    order, out = tree._rooting(tree._require(v))
+    sizes = tuple(path_sizes(out, order))
     value = partition_score(sizes, k) if sizes else checked(k, "partition score")
     return TPebblingResult(value, sizes)
 
@@ -84,7 +87,8 @@ def _root_terms(tree: Tree, weights: WeightFunction, v: str) -> tuple[int, list[
     """
     root = tree._require(v)
     support = [(tree._require(u), k) for u, k in weights.items()]
-    order, out, depth = tree._toward(root, [x for x, _ in support])
+    order, parent, out = tree._toward(root, [x for x, _ in support])
+    depth = tree._depths(order, parent)
     total = 0
     for i, k in support:
         total = checked(
@@ -129,7 +133,7 @@ def _all_scores(tree: Tree, weights: WeightFunction) -> list[int | None]:
     2^63 - 1, so that root is past int64 anyway.
     """
     omega = weights.row(tree)
-    order, parent, _ = tree._rooting(next(i for i, k in enumerate(omega) if k))
+    order, parent = tree._rooting(next(i for i, k in enumerate(omega) if k))
     # with no demand 63 or more edges away, D(v) <= omega total * 2^62 < mask
     mask = (1 << (62 + weights.total.bit_length())) - 1
     fold = omega[:]

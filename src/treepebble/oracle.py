@@ -117,7 +117,7 @@ def _solver(
     support = [j for j, d in enumerate(demand) if d]
     eye = [[int(x == i) for x in range(n)] for i in range(n)]
     fields = [(row, 2) for row in eye] + [(eye[j], demand[j]) for j in support]
-    drows = [tree._rooting(j)[2] for j in support]
+    drows = [tree._depths(*tree._rooting(j)) for j in support]
     # the all-zero distance row weighs every vertex 2^0 = 1
     for drow in [[0] * n] + drows:
         top = max(drow)
@@ -337,7 +337,7 @@ def _leaf_pile(tree: Tree, weights: WeightFunction) -> tuple[int, int]:
     prices = [-1] * len(leaves)
     for j, d in enumerate(weights.row(tree)):
         if d:
-            drow = tree._rooting(j)[2]
+            drow = tree._depths(*tree._rooting(j))
             prices = [p + (d << drow[i]) for p, i in zip(prices, leaves)]
     top = max(prices)
     return leaves[prices.index(top)], top

@@ -4,7 +4,9 @@ A path partition splits all arcs of a forest into arc-disjoint directed
 paths. Partitions are ordered by comparing their nonincreasing size
 sequences at the first differing index; the long-path decomposition below
 (each vertex continues the path of its tallest in-neighbour) produces the
-maximum one.
+maximum one. ``long_paths`` lists its paths on indices, for the named
+partition and for piles placed on path sources; ``path_sizes`` gives only
+their sizes, from heights alone, for ``partition_score``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .checked import checked, pow2, require_int
+from .checked import INT64_MAX, checked, pow2, require_int
 from .tree import DirectedForest
 
 
@@ -61,6 +63,38 @@ def long_paths(out: Sequence[int], order: Sequence[int]) -> list[list[int]]:
     return paths
 
 
+def path_sizes(out: Sequence[int], order: Sequence[int]) -> list[int]:
+    """Edge counts of ``long_paths(out, order)``, longest first, without the paths.
+
+    One fold over heights in ``order``: a vertex x with an arc to p is final
+    when it is reached, so it offers p the height h = height(x) + 1. If h
+    beats height(p), x's path takes p over, and the path p held so far (if
+    any) ends on its arc into p, with size height(p); otherwise x's own path
+    ends on the arc x -> p, with size h. A sink ends the path it holds. A tie
+    only decides which of two in-neighbours of equal height continues
+    through p: one path then ends on its arc into p with size h and the
+    other continues, whichever it is, so ties change no size.
+    """
+    height = [0] * len(out)
+    sizes: list[int] = []
+    for x in order:
+        p = out[x]
+        if p < 0:
+            if height[x]:
+                sizes.append(height[x])
+            continue
+        h = height[x] + 1
+        held = height[p]
+        if h > held:
+            height[p] = h
+            if held:
+                sizes.append(held)
+        else:
+            sizes.append(h)
+    sizes.sort(reverse=True)
+    return sizes
+
+
 def max_path_partition(forest: DirectedForest) -> PathPartition:
     """Maximum path partition of ``forest``: its size sequence majorizes every other.
 
@@ -84,14 +118,27 @@ def _require_nonincreasing(seq: Sequence[int], label: str) -> None:
 
 
 def partition_score(sizes: Sequence[int], t: int) -> int:
-    """t*2^{a_1} + sum_{i>=2} 2^{a_i} - n + 1, in checked 64-bit arithmetic."""
+    """t*2^{a_1} + sum_{i>=2} 2^{a_i} - n + 1, in checked 64-bit arithmetic.
+
+    Each size must be a positive int. The partial sums only grow, so when
+    the sum of the positive terms fits int64 every partial sum does too and
+    one check covers them; otherwise the term-by-term loop finds and words
+    the first overflow.
+    """
     require_int(t, "pebble target t")
     if t < 1:
         raise ValueError("pebble target t must be at least 1")
     seq = tuple(sizes)
     if not seq:
         raise ValueError("partition score needs a nonempty size sequence")
+    if set(map(type, seq)) != {int} or min(seq) < 1:
+        bad = next(a for a in seq if type(a) is not int or a < 1)
+        raise ValueError(f"partition score size must be a positive int, got {bad!r}")
     _require_nonincreasing(seq, "score")
+    if seq[0] < 63:  # a larger size overflows below, before any shift that large is made
+        peak = (t << seq[0]) + sum([1 << a for a in seq[1:]])
+        if peak <= INT64_MAX:
+            return peak - len(seq) + 1
     total = checked(t * pow2(seq[0], "partition score"), "partition score")
     for a in seq[1:]:
         total = checked(total + pow2(a, "partition score"), "partition score")

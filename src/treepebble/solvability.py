@@ -46,11 +46,11 @@ class SolvabilityCertificate:
 
 def _collapse(
     tree: Tree, dist: Distribution, weights: WeightFunction, root: str
-) -> tuple[list[int], list[int], list[int], list[int]]:
+) -> tuple[list[int], list[int], list[int]]:
     """Fold every vertex into its parent in post-order toward ``root``.
 
     Returns the values (each non-root entry as it was when folded, the
-    root's entry the collapsed value), post-order, parents and depths.
+    root's entry the collapsed value), post-order and parents.
     A value outside the signed 64-bit range raises: C = D - demand in name
     order, then the partial sums in fold order.
     """
@@ -59,14 +59,14 @@ def _collapse(
     if min(values) < INT64_MIN or max(values) > INT64_MAX:
         for value in values:
             checked(value, "initial value")
-    order, parent, depth = tree._rooting(ir)
+    order, parent = tree._rooting(ir)
     for x in order[:-1]:
         value = values[x]
         total = values[parent[x]] + (value // 2 if value >= 0 else 2 * value)
         if not INT64_MIN <= total <= INT64_MAX:
             checked(total, "induced value")
         values[parent[x]] = total
-    return values, order, parent, depth
+    return values, order, parent
 
 
 def hat_c(tree: Tree, dist: Distribution, weights: WeightFunction, root: str) -> int:
@@ -76,7 +76,7 @@ def hat_c(tree: Tree, dist: Distribution, weights: WeightFunction, root: str) ->
     post-order until only ``root`` is left, without building the
     intermediate trees.
     """
-    values, order, _, _ = _collapse(tree, dist, weights, root)
+    values, order, _ = _collapse(tree, dist, weights, root)
     return values[order[-1]]
 
 
@@ -92,7 +92,7 @@ def is_solvable(tree: Tree, dist: Distribution, weights: WeightFunction) -> Solv
     So this raises only where some ``hat_c`` does, and each value it returns
     equals ``hat_c`` at that root unless ``hat_c`` raises on a partial sum.
     """
-    hat, order, parent, _ = _collapse(tree, dist, weights, tree.names[0])
+    hat, order, parent = _collapse(tree, dist, weights, tree.names[0])
     for x in reversed(order[:-1]):  # hat[parent[x]] is final, hat[x] not yet
         value = hat[x]
         rest = hat[parent[x]] - (value // 2 if value >= 0 else 2 * value)
@@ -120,7 +120,7 @@ def solve_witness(
     Raises OverflowLimitError when the batches would put more than 2^63 - 1
     pebbles on a vertex at once, naming the name-smallest such vertex.
     """
-    values, order, parent, depth = _collapse(tree, dist, weights, root)
+    values, order, parent = _collapse(tree, dist, weights, root)
     ir = order[-1]
     if values[ir] < 0:
         raise NotSolvableError(f"root '{root}' cannot be satisfied (collapsed value {values[ir]})")
@@ -150,6 +150,7 @@ def solve_witness(
 
     # pre-order rank (children by name): before x come the i - size + 1 vertices that the
     # post-order lists before x's subtree, and x's depth many ancestors; the root adds no move
+    depth = tree._depths(order, parent)
     ranked = sorted((i - size[x] + 1 + depth[x], x) for i, x in enumerate(order) if values[x] < 0)
     moves += [PebblingMove(names[parent[x]], names[x], -values[x]) for _, x in ranked]
     return moves

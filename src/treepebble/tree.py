@@ -121,7 +121,7 @@ class Tree:
         self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
 
         # rooted at index 0, u-v is an edge iff parent[u] == v or parent[v] == u
-        order, self._parent, _ = self._rooting(0)
+        order, self._parent = self._rooting(0)
         if len(order) != n or len(us) != n - 1:
             _reject(list(zip(us, vs)), vertices, len(order))
 
@@ -148,42 +148,50 @@ class Tree:
 
     # -- distances -----------------------------------------------------
 
-    def _rooting(self, root: int) -> tuple[list[int], list[int], list[int]]:
-        """Post-order (children in name order, root last), parent and depth arrays.
+    def _rooting(self, root: int) -> tuple[list[int], list[int]]:
+        """Post-order (children in name order, root last) and parent array.
 
-        Only vertices reachable from ``root`` are listed; its parent is -1.
+        Only vertices reachable from ``root`` are listed; its parent is -1,
+        and an unreached vertex's stays -2, the mark of an unvisited one.
         """
-        n = len(self.names)
-        parent = [-1] * n
-        depth = [-1] * n
-        depth[root] = 0
+        parent = [-2] * len(self.names)
+        parent[root] = -1
         order: list[int] = []
         stack = [root]
         while stack:
             x = stack.pop()
             order.append(x)
             for y in self._adj[x]:
-                if depth[y] < 0:
-                    depth[y] = depth[x] + 1
+                if parent[y] == -2:
                     parent[y] = x
                     stack.append(y)
         order.reverse()
-        return order, parent, depth
+        return order, parent
+
+    @staticmethod
+    def _depths(order: list[int], parent: list[int]) -> list[int]:
+        """Depth of each vertex of the rooting ``(order, parent)``, in one pre-order pass."""
+        depth = [0] * len(parent)
+        for x in order[-2::-1]:  # pre-order after the root: the parent's depth is final
+            depth[x] = depth[parent[x]] + 1
+        return depth
 
     def distances_from(self, v: str) -> dict[str, int]:
         """Distance from ``v`` to every vertex, keyed by name."""
-        row = self._rooting(self._require(v))[2]
+        row = self._depths(*self._rooting(self._require(v)))
         return {name: row[i] for i, name in enumerate(self.names)}
 
     # -- subtrees and orientations --------------------------------------
 
     def _toward(self, root: int, sink: Iterable[int]) -> tuple[list[int], list[int], list[int]]:
-        """``_rooting(root)`` with -1 for parent on the subtree spanning ``root`` and ``sink``."""
-        order, out, depth = self._rooting(root)
+        """``_rooting(root)`` and its parent array with -1 on the subtree spanning ``root``
+        and ``sink``, as ``(order, parent, out)``."""
+        order, parent = self._rooting(root)
+        out = parent[:]
         for x in sink:
             while out[x] >= 0:  # walk up to the subtree cut so far
                 out[x], x = -1, out[x]
-        return order, out, depth
+        return order, parent, out
 
     def minimal_subtree(self, v: str, others: Iterable[str] = ()) -> "Tree":
         """Smallest connected subtree containing ``v`` and all of ``others``.
@@ -191,7 +199,7 @@ class Tree:
         With no extra vertices this is the single-vertex tree on ``v``.
         """
         iv = self._require(v)
-        out, parent = self._toward(iv, [self._require(u) for u in others])[1], self._parent
+        _, parent, out = self._toward(iv, [self._require(u) for u in others])
         # the edges x - parent[x] with both ends in the subtree; out[-1] would read the last vertex
         keep = [x for x, p in enumerate(parent) if p >= 0 and out[x] < 0 and out[p] < 0]
         return Tree([(self.names[x], self.names[parent[x]]) for x in keep], (v,))
@@ -207,7 +215,7 @@ class Tree:
             raise ValueError("sink must contain at least one vertex")
         idxs = [self._require(name) for name in sink_names]
         # rooted inside the sink, the subtree spanning it is the sink iff the sink is connected
-        order, out, _ = self._toward(idxs[0], idxs)
+        order, _, out = self._toward(idxs[0], idxs)
         if out.count(-1) != len(idxs):
             raise ValueError("sink is not connected inside the tree")
         return DirectedForest(self, tuple(sink_names), out, order)

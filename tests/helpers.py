@@ -531,7 +531,7 @@ def reference_solver(
     demand = tuple(weights.row(tree))
     support = tuple(i for i, d in enumerate(demand) if d)
     filters: list[tuple[tuple[int, ...], int]] = []
-    for drow in [[0] * n] + [tree._rooting(j)[2] for j in support] if prune else []:
+    for drow in [[0] * n] + [tree._depths(*tree._rooting(j)) for j in support] if prune else []:
         top = max(drow)
         row = tuple(1 << (top - d) for d in drow)
         filters.append((row, sum(map(mul, demand, row))))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ from treepebble import (
     partition_score,
     random_tree,
 )
-from treepebble.partition import long_paths
+from treepebble.partition import long_paths, path_sizes
 from helpers import all_shapes, greedy_partition, majorize_cmp, random_path_partition, tree
 
 
@@ -82,8 +83,33 @@ class TestPartitionScore:
             partition_score((2,), 0)
 
     def test_overflow_reported(self):
-        with pytest.raises(OverflowLimitError):
+        with pytest.raises(OverflowLimitError) as info:
             partition_score((63,), 1)
+        assert str(info.value) == "partition score: 2^63 overflows a signed 64-bit integer"
+
+    @pytest.mark.parametrize("sizes, t", [((62, 62), 1), ((1,), 2**62)])
+    def test_partial_sum_past_int64_is_reported(self, sizes, t):
+        # (62, 62) would end at 2^63 - 1, but its partial sum 2^63 is checked first
+        with pytest.raises(OverflowLimitError) as info:
+            partition_score(sizes, t)
+        assert str(info.value) == (
+            "partition score 9223372036854775808 is outside the signed 64-bit range"
+        )
+
+    def test_largest_sum_in_range(self):
+        # 2^62 + ... + 2^1 = 2^63 - 2, the largest sum of distinct positive sizes inside int64
+        assert partition_score(tuple(range(62, 0, -1)), 1) == 2**63 - 63
+
+    @pytest.mark.parametrize(
+        "sizes, bad",
+        [((2, 0), 0), ((True,), True), ((2.0,), 2.0), ((2, -1), -1), ((2, "1"), "1"), ((1, None), None)],
+        ids=repr,
+    )
+    def test_sizes_must_be_positive_ints(self, sizes, bad):
+        # checked before the order, so (2, "1") and (1, None) are named rather than compared
+        with pytest.raises(ValueError) as info:
+            partition_score(sizes, 1)
+        assert str(info.value) == f"partition score size must be a positive int, got {bad!r}"
 
     @pytest.mark.parametrize("t", [1.5, 2.0, True, "2", None, 0, -1], ids=repr)
     def test_t_must_be_an_int_of_at_least_one(self, t):
@@ -169,3 +195,24 @@ def test_matches_greedy_on_hand_built_forest():
     named = tuple(tuple("abcdef"[i] for i in p) for p in paths)
     arcs = tuple(("abcdef"[x], "abcdef"[p]) for x, p in enumerate(out) if p >= 0)
     assert greedy_partition(SimpleNamespace(arcs=arcs)).paths == named
+
+
+def test_path_sizes_match_long_paths():
+    # every root of every shape up to 9 vertices, every connected sink set of every shape up to 7,
+    # the hand-built two-sink forest above, and seeded trees of 500 and 2,000 vertices
+    forests = [t._rooting(v)[::-1] for t in all_shapes(9) for v in range(t.n)]
+    for t in all_shapes(7):
+        for r in range(1, t.n + 1):
+            for sink in itertools.combinations(t.names, r):
+                try:
+                    f = t.orient_toward(sink)
+                except ValueError:  # not connected
+                    continue
+                forests.append((f._out, f._order))
+    forests.append(([-1, 0, 1, 4, -1, 2], [3, 5, 2, 1, 0, 4]))
+    for n in (500, 2000):
+        t = random_tree(n, n)
+        forests += [t._rooting(v)[::-1] for v in random.Random(n).sample(range(n), 5)]
+    for out, order in forests:
+        assert path_sizes(out, order) == [len(p) - 1 for p in long_paths(out, order)]
+    assert len(forests) == 749 + 714 + 1 + 10
