@@ -311,10 +311,11 @@ def _twin_caps(tree: Tree, demand: list[int], members: Sequence[int]) -> list[in
     Twin leaves have the same neighbour and the same demand, so swapping two
     is an automorphism of (T, w), and a start and its swap share a verdict.
     """
+    adj = tree._adj
     last: dict[tuple[int, int], int] = {}
     caps = []
     for pos, v in enumerate(members):
-        row = tree._adj[v]
+        row = adj[v]
         if len(row) == 1:
             key = (row[0], demand[v])
             caps.append(last.get(key, -1))

@@ -12,6 +12,7 @@ their sizes, from heights alone, for ``partition_score``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge
 from typing import Sequence
 
 from .checked import INT64_MAX, checked, pow2, require_int
@@ -112,9 +113,8 @@ def max_path_partition(forest: DirectedForest) -> PathPartition:
 
 
 def _require_nonincreasing(seq: Sequence[int], label: str) -> None:
-    for a, b in zip(seq, seq[1:]):
-        if a < b:
-            raise ValueError(f"{label} size sequence is not nonincreasing: {tuple(seq)}")
+    if not all(map(ge, seq, seq[1:])):
+        raise ValueError(f"{label} size sequence is not nonincreasing: {tuple(seq)}")
 
 
 def partition_score(sizes: Sequence[int], t: int) -> int:

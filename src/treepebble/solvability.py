@@ -170,7 +170,7 @@ def simulate(tree: Tree, dist: Distribution, moves: Iterable[PebblingMove]) -> D
     source check first.
     """
     counts = dist.row(tree)
-    parent = tree._parent
+    edges = set(zip(tree._us, tree._vs))  # index pairs, each edge in its document's direction
     top = INT64_MAX
     i = 0  # index of the batch's first move
     for src, dst, k in moves:
@@ -180,7 +180,7 @@ def simulate(tree: Tree, dist: Distribution, moves: Iterable[PebblingMove]) -> D
             continue
         iu = tree._require(src)
         iv = tree._require(dst)
-        if parent[iu] != iv and parent[iv] != iu:
+        if (iu, iv) not in edges and (iv, iu) not in edges:
             raise IllegalMoveError(i, f"'{src}' and '{dst}' are not adjacent")
         legal = min(k, counts[iu] // 2, max(top - counts[iv], 0))
         counts[iu] -= 2 * legal

@@ -5,12 +5,16 @@ indices in sorted-name order, and every iteration order in this package is
 sorted-by-name, so all derived output is deterministic. Trees and the value
 maps defined on them are immutable after construction; every operation is a
 pure function of its inputs and safe to share across threads.
-``Tree.edges`` is derived on demand. ``Tree._build`` is the one builder,
-on two name columns: a tree is validated by bulk name checks, its edge
-count and one rooting, and the per-edge loop runs only on rejected input,
-to choose the message. ``Tree(edges)`` splits its pairs into the columns;
-``parse_tree`` takes them from one split of a canonical document (only
-``u v`` lines, one space apart, each ended by a newline) and reads any
+``Tree._build`` is the one builder, on two name columns: it keeps them as
+index columns and validates the tree by its edge count and a union-find
+over them, without walking it; the per-edge loop runs only on rejected
+input, to choose the message. The adjacency rows are built from the
+columns on the first walk, and ``Tree.edges`` is derived from them on
+demand; building the rows is idempotent, so a shared tree stays
+thread-safe. ``Tree(edges)`` splits its pairs into the columns and checks
+their names in bulk; ``parse_tree`` takes them from one split of a
+canonical document (only ``u v`` lines, one space apart, each ended by a
+newline), whose tokens are valid names by construction, and reads any
 other document by ``_token_runs``, the run reader of vertex maps and moves.
 ``Tree._toward`` is the one place that orients a tree toward a sink subtree;
 ``orient_toward``, ``minimal_subtree`` and cover's per-root scorer read it.
@@ -43,10 +47,10 @@ def _check_name(name: str) -> str:
     return name
 
 
-def _reject(edges: Sequence, vertices: Sequence, reached: int) -> NoReturn:
-    """Raise the first error of input ``Tree`` rejected, whose rooting reached ``reached``
-    vertices (0: not rooted): an entry that is not a pair, a bad name, a self-loop or a
-    duplicate, edge by edge, then a bad bare name, empty input, disconnection and a cycle."""
+def _reject(edges: Sequence, vertices: Sequence, joins: int) -> NoReturn:
+    """Raise the first error of input ``Tree`` rejected, whose union-find merged two parts
+    ``joins`` times (0: not counted): an entry that is not a pair, a bad name, a self-loop or
+    a duplicate, edge by edge, then a bad bare name, empty input, disconnection and a cycle."""
     names: set[str] = set()
     seen: set[tuple[str, str]] = set()
     for i, edge in enumerate(edges):
@@ -66,7 +70,7 @@ def _reject(edges: Sequence, vertices: Sequence, reached: int) -> NoReturn:
         names.add(_check_name(v))
     if not names:
         raise TreeFormatError("empty input: a tree needs at least one vertex")
-    if reached < len(names):
+    if joins < len(names) - 1:
         raise TreeFormatError("edges do not form a connected graph (disconnected)")
     # names are valid and the graph is simple and connected, so it has too many edges
     raise TreeFormatError("cycle detected: edge count exceeds vertex count - 1")
@@ -80,11 +84,13 @@ class Tree:
         index: name -> dense index (the position in ``names``).
         edges: unordered edges as ``(u, v)`` pairs with ``u < v``, sorted, derived on demand.
 
-    Input is valid iff its n names pass bulk checks and one rooting reaches them all through
-    n - 1 edges, so no self-loop, duplicate or cycle can hide; ``_reject`` words the rest.
+    Input is valid iff its n names pass bulk checks and its n - 1 edges each join two parts
+    of a union-find over the index columns, so no self-loop, duplicate or cycle can hide;
+    ``_reject`` words the rest. The adjacency rows ``_adj`` are built on the first walk, and
+    a second build makes equal rows, so a tree shared across threads stays safe to read.
     """
 
-    __slots__ = ("names", "index", "_adj", "_parent")
+    __slots__ = ("names", "index", "_us", "_vs", "_rows")
 
     def __init__(self, edges: Iterable[tuple[str, str]], vertices: Iterable[str] = ()):
         if isinstance(vertices, str):
@@ -96,10 +102,6 @@ class Tree:
             us, vs = [u for u, _ in edges], [v for _, v in edges]
         except (TypeError, ValueError):  # a pair that is not two names
             _reject(edges, vertices, 0)
-        self._build(us, vs, vertices)
-
-    def _build(self, us: list, vs: list, vertices: list) -> None:
-        """Build the tree with edges ``us[i]``-``vs[i]`` and the bare names ``vertices``."""
         try:
             names = sorted({*us, *vs, *vertices})
             joined = " ".join(names)
@@ -108,28 +110,56 @@ class Tree:
         # every name nonempty, without whitespace, and none starting with '#'
         if not names or joined.split() != names or joined.startswith("#") or " #" in joined:
             _reject(list(zip(us, vs)), vertices, 0)
+        self._build(us, vs, names)
 
+    def _build(self, us: list[str], vs: list[str], names: list[str]) -> None:
+        """Build the tree with edges ``us[i]``-``vs[i]`` on ``names``: the sorted distinct
+        names of the edges and the bare names, each already a valid name."""
         n = len(names)
         self.names: tuple[str, ...] = tuple(names)
         self.index: dict[str, int] = dict(zip(names, range(n)))
-        adj: list[list[int]] = [[] for _ in names]
-        for iu, iv in zip(map(self.index.__getitem__, us), map(self.index.__getitem__, vs)):
-            adj[iu].append(iv)
-            adj[iv].append(iu)
-        for row in adj:
-            row.sort()
-        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+        self._us = ius = list(map(self.index.__getitem__, us))
+        self._vs = ivs = list(map(self.index.__getitem__, vs))
+        self._rows: list[list[int]] | None = None
 
-        # rooted at index 0, u-v is an edge iff parent[u] == v or parent[v] == u
-        order, self._parent = self._rooting(0)
-        if len(order) != n or len(us) != n - 1:
-            _reject(list(zip(us, vs)), vertices, len(order))
+        # union by size: a root holds minus its part's size, any other vertex its parent, so
+        # no part is deeper than log2 n
+        part = [-1] * n
+        joins = 0
+        for x, y in zip(ius, ivs):
+            while part[x] >= 0:
+                x = part[x]
+            while part[y] >= 0:
+                y = part[y]
+            if x != y:
+                if part[x] > part[y]:  # x's part is the smaller one
+                    x, y = y, x
+                part[x] += part[y]
+                part[y] = x
+                joins += 1
+        if joins != n - 1 or len(us) != n - 1:
+            _reject(list(zip(us, vs)), names, joins)
 
     # -- basic queries -------------------------------------------------
 
     @property
     def n(self) -> int:
         return len(self.names)
+
+    @property
+    def _adj(self) -> list[list[int]]:
+        """Ascending neighbour rows by index, built from the index columns on the first call;
+        a walk reads them once, before its loop."""
+        rows = self._rows
+        if rows is None:
+            rows = [[] for _ in self.names]
+            for x, y in zip(self._us, self._vs):
+                rows[x].append(y)
+                rows[y].append(x)
+            for row in rows:
+                row.sort()
+            self._rows = rows
+        return rows
 
     @property
     def edges(self) -> tuple[tuple[str, str], ...]:
@@ -156,12 +186,13 @@ class Tree:
         """
         parent = [-2] * len(self.names)
         parent[root] = -1
+        adj = self._adj
         order: list[int] = []
         stack = [root]
         while stack:
             x = stack.pop()
             order.append(x)
-            for y in self._adj[x]:
+            for y in adj[x]:
                 if parent[y] == -2:
                     parent[y] = x
                     stack.append(y)
@@ -228,7 +259,7 @@ class Tree:
         return self.names == other.names and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.names, self._adj))
+        return hash((self.names, *map(tuple, self._adj)))
 
     def __repr__(self) -> str:
         return f"Tree({len(self.names)} vertices, {len(self.names) - 1} edges)"
@@ -384,8 +415,8 @@ def parse_tree(text: str) -> Tree:
         tokens = text.split()
         template = "{} {}\n" * (len(tokens) // 2)
         if tokens and template.format(*tokens) == (text if text.endswith("\n") else text + "\n"):
-            tree = Tree.__new__(Tree)
-            tree._build(tokens[0::2], tokens[1::2], [])
+            tree = Tree.__new__(Tree)  # the tokens are nonempty, without whitespace or a '#' first
+            tree._build(tokens[0::2], tokens[1::2], sorted(set(tokens)))
             return tree
     edges: list[list[str]] = []
     singles: list[str] = []

@@ -59,10 +59,11 @@ def _reference_check_name(name: str) -> str:
 
 class ReferenceTree:
     """The Tree constructor that checks every edge as it reads it, the reference for
-    ``Tree``'s bulk checks and single validating rooting.
+    ``Tree``'s bulk checks and union-find.
 
-    It keeps the attributes that ``Tree`` derives (``names``, ``edges``, ``_adj``,
-    ``_parent``) and raises the same errors in the same order.
+    It keeps the attributes that ``Tree`` derives (``names``, ``edges``, ``_adj``) and raises
+    the same errors in the same order. Its own validating depth-first search, not a
+    union-find, decides connectivity, so it checks ``Tree``'s union-find independently.
     """
 
     def __init__(self, edges: Iterable[tuple[str, str]], vertices: Iterable[str] = ()):
@@ -101,8 +102,7 @@ class ReferenceTree:
             adj[index[v]].append(index[u])
         self._adj = tuple(map(tuple, adj))  # ascending: the edges are sorted
 
-        # a depth-first rooting at index 0, children pushed in row order
-        self._parent = [-1] * len(self.names)
+        # a depth-first search from index 0, children pushed in row order
         reached = {0}
         stack = [0]
         while stack:
@@ -110,7 +110,6 @@ class ReferenceTree:
             for y in self._adj[x]:
                 if y not in reached:
                     reached.add(y)
-                    self._parent[y] = x
                     stack.append(y)
         if len(reached) != len(self.names):
             raise TreeFormatError("edges do not form a connected graph (disconnected)")
@@ -293,12 +292,12 @@ def greedy_partition(forest, rng: random.Random | None = None) -> PathPartition:
 def simulate_each(tree: Tree, dist: Distribution, moves: Iterable[tuple[str, str]]) -> Distribution:
     """Reference replay, one move at a time: ``simulate`` checks and applies a batch at once."""
     counts = dist.row(tree)
-    parent = tree._parent
+    adj = tree._adj
     top = INT64_MAX
     for i, (src, dst) in enumerate(moves):
         iu = tree._require(src)
         iv = tree._require(dst)
-        if parent[iu] != iv and parent[iv] != iu:
+        if iv not in adj[iu]:
             raise IllegalMoveError(i, f"'{src}' and '{dst}' are not adjacent")
         if counts[iu] < 2:
             raise IllegalMoveError(i, f"source '{src}' has {counts[iu]} pebbles")

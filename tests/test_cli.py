@@ -540,34 +540,36 @@ def recursive(tmp_path_factory):
 
 @pytest.mark.parametrize(
     "argv",
-    [  # rootings measured, parse included
-        "simulate --tree t.tree --dist d.map --moves m.moves",  # 1
-        "partition --tree t.tree --root v0",  # 2
-        "tpebble --tree t.tree --root v0 -t 2",  # 2
-        "cover --tree t.tree --weights w.map",  # 2
-        "solvable --tree t.tree --weights w.map --dist d.map",  # 2
-        "witness --tree t.tree --weights w.map --dist d.map --root v0",  # 2
-        "extremal --tree t.tree --weights w.map",  # 3
-        "witness --tree t.tree --weights w.map --dist d.map",  # 3
+    [  # rootings measured, parse included; parsing validates by union-find and roots nothing
+        "simulate --tree t.tree --dist d.map --moves m.moves",  # 0
+        "partition --tree t.tree --root v0",  # 1
+        "tpebble --tree t.tree --root v0 -t 2",  # 1
+        "cover --tree t.tree --weights w.map",  # 1
+        "solvable --tree t.tree --weights w.map --dist d.map",  # 1
+        "witness --tree t.tree --weights w.map --dist d.map --root v0",  # 1
+        "extremal --tree t.tree --weights w.map",  # 2
+        "witness --tree t.tree --weights w.map --dist d.map",  # 2
     ],
 )
 def test_rootings_per_command(recursive, monkeypatch, argv):
-    # every command but verify and the quadratic global tpebble roots the tree at most 3 times
+    # every command but verify and the quadratic global tpebble roots the tree at most twice,
+    # and simulate tests adjacency on the edge columns without rooting it
     roots = []
     rooting = Tree._rooting
     monkeypatch.setattr(Tree, "_rooting", lambda self, r: roots.append(r) or rooting(self, r))
     code, _, err = invoke(*[str(recursive / t) if (recursive / t).exists() else t for t in argv.split()])
     assert (code, err) == (0, "")
-    assert len(roots) <= 3
+    assert len(roots) <= 2
+    if argv.startswith("simulate"):
+        assert roots == []
 
 
 def test_global_tpebble_roots_once_per_vertex(recursive, monkeypatch):
-    # one rooting to parse, then one per root scored
     roots = []
     rooting = Tree._rooting
     monkeypatch.setattr(Tree, "_rooting", lambda self, r: roots.append(r) or rooting(self, r))
     assert invoke("tpebble", "--tree", str(recursive / "small.tree"))[0] == 0
-    assert len(roots) == 1 + 30
+    assert len(roots) == 30
 
 
 class TestDeterminism:

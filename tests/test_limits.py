@@ -154,3 +154,10 @@ def test_witness_on_a_random_recursive_tree_of_a_million_vertices(work):
     header, *moves = run.stdout.splitlines()
     assert header == f"# witness root=v0 moves={2**d - 1}"
     assert len(moves) == d and moves[-1].split()[1] == f"v{10**6 - 1}"
+    # the replay tests adjacency on the tree's edge columns, with no adjacency rows or rooting
+    (work / "rrt.moves").write_text(run.stdout)
+    replay = cli(work, "simulate", "--tree", "rrt.tree", "--dist", "rrt.dist", "--moves", "rrt.moves")
+    assert (replay.returncode, replay.stderr) == (0, "")
+    header, *table = replay.stdout.splitlines()
+    assert header == f"# final size={2**d - (2**d - 1)}"
+    assert int(dict(line.split() for line in table)[f"v{10**6 - 1}"]) >= 1

@@ -1,9 +1,11 @@
+import collections
 import itertools
 import os
 import random
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -184,13 +186,42 @@ def test_neighbors_ascending_on_relabelled_shapes():
                 assert set(row) == {x for e in edges if v in e for x in e if x != v}
 
 
+def test_threads_racing_to_build_the_rows_see_equal_rows():
+    # a shared tree builds its adjacency rows on the first walk; racing builds must agree
+    rng = random.Random(12)
+    text = "".join(f"v{rng.randrange(i)} v{i}\n" for i in range(1, 3000))
+    alone = parse_tree(text)
+    expected = (tuple(map(tuple, alone._adj)), alone.distances_from("v0"))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            shared = parse_tree(text)
+            start = threading.Barrier(8)
+            seen = []
+
+            def walk():
+                start.wait(timeout=10)
+                seen.append((tuple(map(tuple, shared._adj)), shared.distances_from("v0")))
+
+            threads = [threading.Thread(target=walk) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert seen == [expected] * 8
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _outcome(build, *args):
-    """The names, edges, adjacency rows and parent array ``build(*args)`` yields, or its error."""
+    """The names, edges and adjacency rows (as tuples) ``build(*args)`` yields, or its error."""
     try:
         t = build(*args)
     except Exception as error:
         return type(error), str(error)
-    return t.names, t.edges, t._adj, t._parent
+    return t.names, t.edges, tuple(map(tuple, t._adj))
 
 
 def _edge_lists(rng: random.Random):
@@ -327,6 +358,56 @@ def test_near_canonical_documents_take_the_line_loop(line_loop_runs, edit):
         assert outcome == _outcome(reference_parse_tree, doc), doc
         # the loop builds the tree, or raises a line error itself before any build
         assert line_loop_runs or outcome[1].startswith("line "), doc
+
+
+def _large_faults(edges, rng: random.Random):
+    """``(label, edges, vertices)``: the valid edge list of a large tree, then one seeded fault
+    each, any extra edge last, once the union-find has merged every other part."""
+    names = sorted({x for edge in edges for x in edge})
+    present = {frozenset(edge) for edge in edges}
+    while True:
+        chord = tuple(rng.sample(names, 2))
+        if frozenset(chord) not in present:
+            break
+    degree = collections.Counter(x for edge in edges for x in edge)
+    # an inner edge, so that dropping it leaves both of its ends on the tree
+    i = rng.choice([i for i, (u, v) in enumerate(edges) if min(degree[u], degree[v]) > 1])
+    u, v = edges[i]
+    yield "valid", edges, ()
+    yield "an extra edge, which makes a cycle", [*edges, chord], ()
+    yield "a dropped edge, which disconnects", edges[:i] + edges[i + 1 :], ()
+    yield "n - 1 edges around a cycle and an isolated bare name", [*edges, chord], ["isolated"]
+    yield "a duplicate edge", [*edges, (v, u)], ()
+    yield "a self-loop", [*edges, (u, u)], ()
+    yield "a bad name", edges[:i] + [(u, "#x")] + edges[i + 1 :], ()
+
+
+def _random_recursive(n: int, rng: random.Random) -> list[tuple[str, str]]:
+    edges = [(f"v{rng.randrange(i)}", f"v{i}") for i in range(1, n)]
+    rng.shuffle(edges)
+    return [edge if rng.random() < 0.5 else edge[::-1] for edge in edges]
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        _random_recursive(3000, random.Random(31)),
+        [(f"p{i:05d}", f"p{i + 1:05d}") for i in range(9999)],  # the tree of largest depth
+    ],
+    ids=["random recursive tree of 3000 vertices", "path of 10^4 vertices"],
+)
+def test_large_trees_match_the_reference(edges):
+    rng = random.Random(len(edges))
+    messages = []
+    for label, case, vertices in _large_faults(edges, rng):
+        expected = _outcome(ReferenceTree, case, vertices)
+        assert _outcome(Tree, case, vertices) == expected, label
+        doc = "".join(f"{u} {v}\n" for u, v in case) + "".join(f"{x}\n" for x in vertices)
+        assert _outcome(parse_tree, doc) == _outcome(reference_parse_tree, doc) == expected, label
+        messages.append(expected[1] if expected[0] is TreeFormatError else "a tree")
+    # each fault reaches the check its label names
+    firsts = ["a", "cycle", "edges", "edges", "duplicate", "self-loop", "vertex"]
+    assert [message.split()[0] for message in messages] == firsts, messages
 
 
 class TestMinimalSubtree:
