@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .checked import INT64_MAX, checked, pow2, require_int
-from .partition import long_paths, partition_score, path_sizes
+from .partition import _score, long_paths, path_sizes
 from .tree import Distribution, Tree, WeightFunction
 
 
@@ -67,7 +67,7 @@ def t_pebbling_number(tree: Tree, v: str, k: int = 1) -> TPebblingResult:
         raise ValueError("pebble target k must be at least 1")
     order, out = tree._rooting(tree._require(v))
     sizes = tuple(path_sizes(out, order))
-    value = partition_score(sizes, k) if sizes else checked(k, "partition score")
+    value = _score(sizes, k) if sizes else checked(k, "partition score")
     return TPebblingResult(value, sizes)
 
 
@@ -84,18 +84,17 @@ def _root_terms(tree: Tree, weights: WeightFunction, v: str) -> tuple[int, list[
     The remainder forest is everything outside the minimal subtree spanning
     ``v`` and the demand support, oriented toward it; each path of its
     maximum partition is a pile of 2^size - 1 pebbles on its source, longest first.
+    A 2^d past int64 raises at the farthest demand or the longest path.
     """
     root = tree._require(v)
     support = [(tree._require(u), k) for u, k in weights.items()]
     order, parent, out = tree._toward(root, [x for x, _ in support])
     depth = tree._depths(order, parent)
-    total = 0
-    for i, k in support:
-        total = checked(
-            total + checked(k * pow2(depth[i], "demand term"), "demand term"), "cover score"
-        )
+    pow2(max([depth[i] for i, _ in support]), "demand term")
     paths = long_paths(out, order)
-    return total, [(tree.names[p[0]], pow2(len(p) - 1, "remainder term") - 1) for p in paths]
+    pow2(len(paths[0]) - 1 if paths else 0, "remainder term")
+    demand = sum([k << depth[i] for i, k in support])
+    return demand, [(tree.names[p[0]], (1 << len(p) - 1) - 1) for p in paths]
 
 
 def s_omega_at(tree: Tree, weights: WeightFunction, v: str) -> int:
@@ -103,14 +102,12 @@ def s_omega_at(tree: Tree, weights: WeightFunction, v: str) -> int:
 
     The remainder forest is everything outside the minimal subtree spanning
     ``v`` and the demand support, oriented toward it; each path of its
-    maximum partition contributes 2^size - 1.
+    maximum partition contributes 2^size - 1. The exact score is checked once.
     """
     if not weights.support:
         raise ValueError("demand has empty support")
-    total, piles = _root_terms(tree, weights, v)
-    for _, pile in piles:
-        total = checked(total + pile, "cover score")
-    return total
+    demand, piles = _root_terms(tree, weights, v)
+    return checked(demand + sum([pile for _, pile in piles]), "cover score")
 
 
 def _all_scores(tree: Tree, weights: WeightFunction) -> list[int | None]:

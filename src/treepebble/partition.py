@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import ge
 from typing import Sequence
 
-from .checked import INT64_MAX, checked, pow2, require_int
+from .checked import checked, pow2, require_int
 from .tree import DirectedForest
 
 
@@ -117,14 +117,14 @@ def _require_nonincreasing(seq: Sequence[int], label: str) -> None:
         raise ValueError(f"{label} size sequence is not nonincreasing: {tuple(seq)}")
 
 
-def partition_score(sizes: Sequence[int], t: int) -> int:
-    """t*2^{a_1} + sum_{i>=2} 2^{a_i} - n + 1, in checked 64-bit arithmetic.
+def _score(sizes: Sequence[int], t: int) -> int:
+    """``partition_score`` of sizes known to be positive ints, nonincreasing."""
+    top = pow2(sizes[0], "partition score")  # raises before any 2^a past int64 is made
+    return checked(t * top + sum([1 << a for a in sizes[1:]]) - len(sizes) + 1, "partition score")
 
-    Each size must be a positive int. The partial sums only grow, so when
-    the sum of the positive terms fits int64 every partial sum does too and
-    one check covers them; otherwise the term-by-term loop finds and words
-    the first overflow.
-    """
+
+def partition_score(sizes: Sequence[int], t: int) -> int:
+    """t*2^{a_1} + sum_{i>=2} 2^{a_i} - n + 1 of positive nonincreasing sizes, checked once."""
     require_int(t, "pebble target t")
     if t < 1:
         raise ValueError("pebble target t must be at least 1")
@@ -135,11 +135,4 @@ def partition_score(sizes: Sequence[int], t: int) -> int:
         bad = next(a for a in seq if type(a) is not int or a < 1)
         raise ValueError(f"partition score size must be a positive int, got {bad!r}")
     _require_nonincreasing(seq, "score")
-    if seq[0] < 63:  # a larger size overflows below, before any shift that large is made
-        peak = (t << seq[0]) + sum([1 << a for a in seq[1:]])
-        if peak <= INT64_MAX:
-            return peak - len(seq) + 1
-    total = checked(t * pow2(seq[0], "partition score"), "partition score")
-    for a in seq[1:]:
-        total = checked(total + pow2(a, "partition score"), "partition score")
-    return checked(total - len(seq) + 1, "partition score")
+    return _score(seq, t)

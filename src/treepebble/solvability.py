@@ -52,7 +52,7 @@ def _collapse(
     Returns the values (each non-root entry as it was when folded, the
     root's entry the collapsed value), post-order and parents.
     A value outside the signed 64-bit range raises: C = D - demand in name
-    order, then the partial sums in fold order.
+    order, then each vertex's value once it is final, in fold order.
     """
     ir = tree._require(root)
     values = list(map(sub, dist.row(tree), weights.row(tree)))
@@ -62,10 +62,10 @@ def _collapse(
     order, parent = tree._rooting(ir)
     for x in order[:-1]:
         value = values[x]
-        total = values[parent[x]] + (value // 2 if value >= 0 else 2 * value)
-        if not INT64_MIN <= total <= INT64_MAX:
-            checked(total, "induced value")
-        values[parent[x]] = total
+        if not INT64_MIN <= value <= INT64_MAX:
+            checked(value, "induced value")
+        values[parent[x]] += value // 2 if value >= 0 else 2 * value
+    checked(values[ir], "induced value")
     return values, order, parent
 
 
@@ -87,10 +87,8 @@ def is_solvable(tree: Tree, dist: Distribution, weights: WeightFunction) -> Solv
     down each edge p-x in pre-order: p's side without x, collapsed onto p,
     is hat(p) - fold(value(x)), and hat(x) = value(x) + fold of that.
 
-    Overflow: the first collapse raises exactly as ``hat_c`` there, and
-    every other value checked is a final value of another root's collapse.
-    So this raises only where some ``hat_c`` does, and each value it returns
-    equals ``hat_c`` at that root unless ``hat_c`` raises on a partial sum.
+    Overflow: this raises exactly where some ``hat_c`` raises, and
+    otherwise every value it returns equals ``hat_c`` at that root.
     """
     hat, order, parent = _collapse(tree, dist, weights, tree.names[0])
     for x in reversed(order[:-1]):  # hat[parent[x]] is final, hat[x] not yet

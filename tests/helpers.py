@@ -358,17 +358,16 @@ def reference_orient(t: Tree, sink: Iterable[str]) -> SimpleNamespace:
 def reference_s_omega(t: Tree, weights: WeightFunction, v: str) -> tuple[int, PathPartition]:
     """Score of root ``v`` from the Steiner subtree, its orientation and the greedy.
 
-    Sums in the same order and with the same overflow checks as the
-    package, so an overflow reports the same message.
+    Overflows by the package's rule, so it reports the same message: 2^d
+    raises for the farthest demand, then for the longest path, and the exact
+    score is checked once.
     """
     dist = t.distances_from(v)
     part = greedy_partition(reference_orient(t, reference_steiner(t, (v, *weights.support))))
-    total = 0
-    for u, k in weights.items():
-        total = checked(total + checked(k * pow2(dist[u], "demand term"), "demand term"), "cover score")
-    for a in part.sizes:
-        total = checked(total + pow2(a, "remainder term") - 1, "cover score")
-    return total, part
+    pow2(max(dist[u] for u in weights.support), "demand term")
+    pow2(max(part.sizes, default=0), "remainder term")
+    demand = sum(k * 2 ** dist[u] for u, k in weights.items())
+    return checked(demand + sum(2**a - 1 for a in part.sizes), "cover score"), part
 
 
 def reference_cover(t: Tree, weights: WeightFunction) -> tuple[int, str, dict[str, int], Distribution]:
@@ -442,7 +441,10 @@ class GeneralizedDistribution:
 def reduce_leaf(
     values: GeneralizedDistribution, tree: Tree, leaf: str
 ) -> tuple[Tree, GeneralizedDistribution]:
-    """Reference single fold: delete ``leaf`` and fold its value into its unique neighbor."""
+    """Reference single fold: delete ``leaf`` and fold its value into its unique neighbor.
+
+    The leaf's value is final once it is folded, so it is the one checked against int64.
+    """
     if tree.n < 2:
         raise ValueError("cannot reduce a single-vertex tree")
     adjacent = neighbors(tree, leaf)
@@ -451,11 +453,9 @@ def reduce_leaf(
     if set(values.values) != set(tree.names):
         raise ValueError("values must be defined on exactly the tree's vertex set")
     (neighbor,) = adjacent
-    c = values[leaf]
+    c = checked(values[leaf], "induced value")
     new_values = {name: v for name, v in values.values.items() if name != leaf}
-    new_values[neighbor] = checked(
-        new_values[neighbor] + (c // 2 if c >= 0 else 2 * c), "induced value"
-    )
+    new_values[neighbor] += c // 2 if c >= 0 else 2 * c
     smaller = Tree([e for e in tree.edges if leaf not in e], (neighbor,))
     return smaller, GeneralizedDistribution(new_values)
 

@@ -449,6 +449,29 @@ class TestErrorChannel:
         assert (code, out) == (3, "")
         assert err == "error: OVERFLOW: partition score: 2^64 overflows a signed 64-bit integer\n"
 
+    def test_score_past_int64_only_on_its_way_is_answered(self, tmp_path):
+        # two legs of 62 edges toward c: 2^62 + 2^62 passes 2^63, the score 2^63 - 1 does not
+        legs = [[f"{side}{i:02d}" for i in range(1, 63)] for side in "lr"]
+        spider = tmp_path / "spider.tree"
+        spider.write_text("".join(f"{a} {b}\n" for leg in legs for a, b in zip(["c", *leg], leg)))
+        code, out, err = invoke("tpebble", "--tree", str(spider), "--root", "c")
+        assert (code, err) == (0, "")
+        assert out == f"# tpebble root=c t=1\nvalue {2**63 - 1}\nsizes 62 62\n"
+
+    def test_collapse_past_int64_only_on_its_way_is_answered(self, tmp_path):
+        # m folds a and b first, to -2^63 - 2^61, then x and y bring it back to -2^61 - 2
+        files = {
+            "t.tree": "m a\nm b\nm x\nm y\n",
+            "d.map": f"x {2**63 - 1}\ny {2**63 - 1}\n",
+            "w.map": f"a {2**61 + 2**59}\nb {2**61 + 2**59}\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        tree, dist, weights = (str(tmp_path / name) for name in files)
+        got = invoke("witness", "--tree", tree, "--dist", dist, "--weights", weights, "--root", "m")
+        message = f"root 'm' cannot be satisfied (collapsed value {-(2**61) - 2})"
+        assert got == (1, "", f"error: UNSOLVABLE: {message}\n")
+
     def test_count_above_int64_exit_three(self, tmp_path):
         tree = tmp_path / "t.tree"
         tree.write_text("a b\n")

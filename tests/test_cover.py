@@ -533,11 +533,11 @@ def test_path_positive_demand_closed_form(n):
 
 @pytest.mark.parametrize("n", [64, 70, 10**4])
 def test_long_path_positive_demand_overflows(n):
-    # the first root is an end: its demand at distance 63 is the first term past int64
+    # the first root is an end: its farthest demand, n - 1 edges away, is the 2^d past int64
     names = [f"p{i:05d}" for i in range(n)]
     path = Tree(list(zip(names, names[1:])))
     w = WeightFunction({v: 1 for v in names})
-    message = "^demand term: 2\\^63 overflows a signed 64-bit integer$"
+    message = f"^demand term: 2\\^{n - 1} overflows a signed 64-bit integer$"
     with pytest.raises(OverflowLimitError, match=message):
         cover_pebbling_number(path, w)
     with pytest.raises(OverflowLimitError, match=message):
