@@ -4,7 +4,9 @@ Text output is deterministic: tables are ``vertex value`` lines sorted by
 name under a single ``#`` header line, and ``--json`` emits the structured
 equivalent with sorted keys. Exit codes: 0 success, 1 negative verdict
 (UNSOLVABLE, verify MISMATCH, illegal replay), 2 usage or input errors,
-3 overflow, 4 oracle budget exceeded.
+3 overflow, 4 oracle budget exceeded or out of memory (a ``MemoryError``;
+a process the operating system kills for its memory gets no exit code
+from here).
 
 Each command is one row of ``COMMANDS``: its help line, its arguments, a
 handler and a text renderer. ``run`` parses the arguments and loads the
@@ -357,6 +359,9 @@ def run(
         return _execute(argv, out, err)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    except MemoryError:  # the unwound frames freed what they held, so one line can be written
+        err.write("error: BUDGET: out of memory\n")
+        return EXIT_BUDGET
     except tuple(kind for kind, _, _ in _FAILURES) as exc:
         label, code = next((lb, code) for kind, lb, code in _FAILURES if isinstance(exc, kind))
         err.write(f"error: {label}: {exc}\n")

@@ -74,9 +74,10 @@ def _solver(
     demand's own sum_x demand_x * w_x, for a row w that changes by at most a
     factor 2 across every edge. A move u -> v changes that sum by
     w_v - 2*w_u <= 0, so it never grows, and a state meeting the demand
-    holds at least the demand's sum. The rows are all ones (the pebble
-    total) and, per demanded j, 2^{-d(x, j)} scaled by 2^{max d} to stay in
-    integers.
+    holds at least the demand's sum. The rows are, per demanded j,
+    2^{-d(x, j)} scaled by 2^{max d} to stay in integers. The pebble total
+    needs no row: with one demanded j, j's own row implies it, since no
+    weight 2^{max d - d} exceeds the 2^{max d} that j's demand carries.
 
     The arcs: a move u -> v is tried only when v's side B of the edge uv
     holds a demanded vertex, that is d(v, j) < d(u, j) for some demanded j.
@@ -98,7 +99,8 @@ def _solver(
     and the states form an acyclic graph (each move burns a pebble), so the
     order changes how soon a search ends and which states it visits, never
     a verdict. All calls share one memo, capped at ``MEMO_LIMIT`` states. It
-    holds only states that are not met: a met state is decided by one mask.
+    holds only states no mask decides: a met state and a hopeless one are
+    each decided by one mask.
 
     A state of at most ``size`` pebbles is one int of fields. Each field is
     a sum v = sum_x c_x * r_x held against a threshold t and stored as
@@ -118,8 +120,7 @@ def _solver(
     eye = [[int(x == i) for x in range(n)] for i in range(n)]
     fields = [(row, 2) for row in eye] + [(eye[j], demand[j]) for j in support]
     drows = [tree._depths(*tree._rooting(j)) for j in support]
-    # the all-zero distance row weighs every vertex 2^0 = 1
-    for drow in [[0] * n] + drows:
+    for drow in drows:
         top = max(drow)
         row = [1 << (top - d) for d in drow]
         fields.append((row, sum(map(mul, demand, row))))
@@ -152,12 +153,6 @@ def _solver(
     def full() -> BudgetExceededError:
         return BudgetExceededError(f"solvability memo exceeded {MEMO_LIMIT} states")
 
-    def remember(state: int, verdict: bool) -> bool:
-        if len(memo) >= MEMO_LIMIT:  # no state is written twice
-            raise full()
-        memo[state] = verdict
-        return verdict
-
     def solve(start: int) -> bool:
         verdict = lookup(start)
         if verdict is not None:
@@ -165,7 +160,7 @@ def _solver(
         if start & met == met:
             return True
         if start & cut != cut:
-            return remember(start, False)
+            return False
         frames = [(start, iter(steps))]
         while frames:
             state, succ = frames[-1]
@@ -175,14 +170,10 @@ def _solver(
                 nxt = state + step
                 verdict = lookup(nxt)
                 if verdict is None:
-                    # remember(), inlined: this loop runs once per move tried;
-                    # a met state costs one mask, so it is never memoized
+                    # a met or hopeless state costs one mask, so it is never memoized
                     if nxt & met == met:
                         verdict = True
                     elif nxt & cut != cut:
-                        if len(memo) >= MEMO_LIMIT:
-                            raise full()
-                        memo[nxt] = False
                         continue
                     else:
                         frames.append((nxt, iter(steps)))
@@ -197,7 +188,9 @@ def _solver(
                         memo[s] = True
                     return True
             else:
-                remember(state, False)
+                if len(memo) >= MEMO_LIMIT:  # no state is written twice
+                    raise full()
+                memo[state] = False
                 frames.pop()
         return False
 
@@ -345,8 +338,6 @@ def _leaf_pile(tree: Tree, weights: WeightFunction) -> tuple[int, int]:
 
 
 def _composition_count(total: int, parts: int) -> int:
-    if parts == 0:
-        return 1 if total == 0 else 0
     return comb(total + parts - 1, parts - 1)
 
 
@@ -416,9 +407,6 @@ def verify_gamma(
     classes (larger counts to earlier twins) never moves it later in that
     order, so the first unsolvable composition is canonical: the scan
     enumerates only canonical ones and stops where the full scan would.
-    An extension onto a leaf whose witness count equals that of an earlier
-    twin mirrors the extension onto that twin, which was found solvable,
-    and is not searched either.
 
     ``distributions_checked`` counts every start state decided, by a
     search or by the verdict of its canonical twin: the pile, each
@@ -442,11 +430,10 @@ def verify_gamma(
     every = range(tree.n)
     leaves = [tree.index[name] for name in tree.leaves()]
     leaf_units = [all_units[v] for v in leaves]
-    leaf_caps = _twin_caps(tree, demand, leaves)
     # per confirmation: the support's vertices, their packed pebbles and twin caps
     supports = {
         "full": (every, all_units, _twin_caps(tree, demand, every)),
-        "leaves": (leaves, leaf_units, leaf_caps),
+        "leaves": (leaves, leaf_units, _twin_caps(tree, demand, leaves)),
     }
     checked_count = 0
 
@@ -487,15 +474,9 @@ def verify_gamma(
         # the last witness plus one leaf pebble first, then the compositions
         bad = None
         if witness_state is not None:
-            row = row_of(witness_state)
-            for pos, unit in enumerate(leaf_units):
+            for unit in leaf_units:
                 checked_count += 1
-                twin = leaf_caps[pos]
-                while twin >= 0 and row[leaves[twin]] != row[leaves[pos]]:
-                    twin = leaf_caps[twin]
-                # with an earlier twin as full, this extension mirrors that
-                # twin's, which was found solvable
-                if twin < 0 and not solve(witness_state + unit):
+                if not solve(witness_state + unit):
                     bad = witness_state + unit
                     break
         if bad is None:

@@ -100,16 +100,13 @@ class Tree:
             if any(isinstance(edge, str) for edge in edges):  # it would unpack into its characters
                 raise ValueError
             us, vs = [u for u, _ in edges], [v for _, v in edges]
-        except (TypeError, ValueError):  # a pair that is not two names
-            _reject(edges, vertices, 0)
-        try:
             names = sorted({*us, *vs, *vertices})
             joined = " ".join(names)
-        except (TypeError, ValueError):  # a non-str name
-            _reject(list(zip(us, vs)), vertices, 0)
-        # every name nonempty, without whitespace, and none starting with '#'
-        if not names or joined.split() != names or joined.startswith("#") or " #" in joined:
-            _reject(list(zip(us, vs)), vertices, 0)
+            # every name nonempty, without whitespace, and none starting with '#'
+            if not names or joined.split() != names or joined.startswith("#") or " #" in joined:
+                raise ValueError
+        except (TypeError, ValueError):  # an entry that is not a pair, or a bad name
+            _reject(edges, vertices, 0)
         self._build(us, vs, names)
 
     def _build(self, us: list[str], vs: list[str], names: list[str]) -> None:

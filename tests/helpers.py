@@ -519,18 +519,18 @@ def reference_solver(
 
     ``solve(state)`` takes the counts indexed like ``tree.names`` and tries
     every move, in (u, v) index order. With ``prune`` it cuts by the same
-    rule as the oracle: a state is hopeless when the pebble total, or per
-    demanded j the sum weighted 2^{max d - d(x, j)}, is below the demand's
-    own sum under the same weights. Without it, it searches the raw move
-    space. It does not restrict or reorder the moves as the oracle does, so
-    only its verdicts match the oracle's; its memo is capped by the same
+    rule as the oracle: a state is hopeless when, for some demanded j, the
+    sum weighted 2^{max d - d(x, j)} is below the demand's own sum under
+    the same weights. Without it, it searches the raw move space. It does
+    not restrict or reorder the moves as the oracle does, so only its
+    verdicts match the oracle's; its memo is capped by the same
     ``MEMO_LIMIT``.
     """
     n, adj = tree.n, tree._adj
     demand = tuple(weights.row(tree))
     support = tuple(i for i, d in enumerate(demand) if d)
     filters: list[tuple[tuple[int, ...], int]] = []
-    for drow in [[0] * n] + [tree._depths(*tree._rooting(j)) for j in support] if prune else []:
+    for drow in [tree._depths(*tree._rooting(j)) for j in support] if prune else []:
         top = max(drow)
         row = tuple(1 << (top - d) for d in drow)
         filters.append((row, sum(map(mul, demand, row))))

@@ -5,12 +5,14 @@ is the last of the hub's neighbours by name), the same star with its lines
 shuffled and every other edge written leaf first, a 10^5-vertex path, and
 random recursive trees (edges ``v<parent> v<i>``) of 2,000 vertices, for the
 quadratic global ``tpebble``, and of 10^6 vertices. All commands run
-in one directory per module, so each input is written once.
+in one directory per module, so each input is written once. One command
+runs with its address space capped, so that an allocation fails.
 """
 
 import functools
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -22,10 +24,11 @@ import treepebble
 SRC = str(Path(treepebble.__file__).resolve().parent.parent)
 
 
-def cli(work: Path, *argv: str) -> subprocess.CompletedProcess:
+def cli(work: Path, *argv: str, **options) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "treepebble.cli", *argv],
         cwd=work, env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+        **options,
     )
 
 
@@ -161,3 +164,11 @@ def test_witness_on_a_random_recursive_tree_of_a_million_vertices(work):
     header, *table = replay.stdout.splitlines()
     assert header == f"# final size={2**d - (2**d - 1)}"
     assert int(dict(line.split() for line in table)[f"v{10**6 - 1}"]) >= 1
+
+
+def test_out_of_memory_is_a_budget_error(work):
+    # 10^8 vertex names need gigabytes, past a 256 MB address space
+    limit = 256 * 2**20
+    run = cli(work, "gen-tree", "-n", "100000000",
+              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (run.returncode, run.stdout, run.stderr) == (4, "", "error: BUDGET: out of memory\n")

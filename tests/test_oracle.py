@@ -109,15 +109,14 @@ class TestBudgets:
     @pytest.mark.parametrize(
         "dist,demand,verdict,states",
         [
-            ({"v0": 1, "v1": 3, "v2": 3, "v4": 4}, {"v2": 1, "v3": 1, "v4": 1}, True, 25),
-            ({"v2": 4, "v4": 2}, {"v1": 1, "v2": 1, "v4": 1}, False, 15),
+            ({"v0": 1, "v1": 3, "v2": 3, "v4": 4}, {"v2": 1, "v3": 1, "v4": 1}, True, 19),
+            ({"v2": 4, "v4": 2}, {"v1": 1, "v2": 1, "v4": 1}, False, 6),
         ],
     )
     def test_memo_limit_has_one_threshold(self, monkeypatch, dist, demand, verdict, states):
         # the budget is checked before every memo write, so a search that
         # writes `states` states raises under every smaller cap and answers
-        # under the rest; met states are never written, so a search that
-        # answers False writes the same states with or without that rule
+        # under the rest; met and cut states are never written
         star, d, w = tree("v0 v1;v0 v2;v0 v3;v0 v4"), Distribution(dist), WeightFunction(demand)
         assert brute_solvable(star, d, w) == verdict
         outcomes = []

@@ -581,6 +581,19 @@ class TestVertexValues:
         assert Distribution({"a": 2, "b": 3}).size == 5
 
 
+def test_hash_repr_and_foreign_equality():
+    # the same tree from edges in another order and orientation
+    t, same = Tree([("a", "b"), ("b", "c")]), Tree([("c", "b"), ("b", "a")])
+    assert t == same and hash(t) == hash(same)
+    assert {t: 1, same: 2} == {t: 2}
+    assert repr(t) == "Tree(3 vertices, 2 edges)"
+    assert repr(t.orient_toward(("a",))) == "DirectedForest(2 arcs -> {a})"
+    assert repr(WeightFunction({"c": 2, "a": 1})) == "WeightFunction({a: 1, c: 2})"
+    assert repr(Distribution({})) == "Distribution({})"
+    assert t != 3 and not t == 3
+    assert Distribution({"a": 1}) != 3 and not WeightFunction({"a": 1}) == 3
+
+
 class TestVertexMapParsing:
     def test_basic(self):
         t = tree("a b;b c")
