@@ -5,10 +5,11 @@ depth-first search over the states reachable by legal pebbling moves (each
 move burns one pebble, so the search terminates), memoizing verdicts across
 start states. The cover number is re-derived by scanning distribution sizes
 upward until every distribution of a size is solvable. Nothing here consults
-path partitions or score formulas. The search has two shortcuts, both
+path partitions or score formulas. The search has three shortcuts, all
 derived directly from the move definition: a weighted-sum cut of hopeless
-states, and an arc restriction that never moves a pebble into a branch
-without demand. It tries the nearest approaching move first, an order that
+states, an arc restriction that never moves a pebble into a branch
+without demand, and a fold of each start's leaves without demand into
+their neighbours. It tries the nearest approaching move first, an order that
 changes no verdict. The size scan adds the leaf-support restriction for
 witness hunting (a maximum-size unsolvable distribution always exists with
 all pebbles on leaves), and climbs: unsolvable distributions are closed
@@ -69,7 +70,7 @@ def _solver(
 ) -> tuple[Callable[[int], bool], int, list[int], Callable[[int], list[int]]]:
     """``solve(x)``: can some move sequence from packed state ``x`` meet the demand?
 
-    Two shortcuts, neither of which changes a verdict. The cut: a state is
+    Three shortcuts, none of which changes a verdict. The cut: a state is
     hopeless when some weighted pebble sum sum_x c_x * w_x is below the
     demand's own sum_x demand_x * w_x, for a row w that changes by at most a
     factor 2 across every edge. A move u -> v changes that sum by
@@ -93,6 +94,21 @@ def _solver(
     solution, a contradiction. Every state's verdict is therefore the same
     over the restricted arcs, and memoized verdicts mean the same either way.
 
+    The fold: before it searches, ``solve`` moves floor(c/2) times from
+    each leaf l without demand that holds c pebbles to its neighbour u, and
+    deletes the odd pebble left on l. l's side of the edge lu is l alone and
+    holds no demand, so by the arc restriction a fewest-move solution never
+    moves into l, and it moves some m <= floor(c/2) times l -> u. Making all
+    floor(c/2) of those moves first keeps every later move legal, as u holds
+    at least as many pebbles at every step, and every vertex but l ends
+    with at least as many, so the start shares its verdict with the state
+    those moves reach. The pebble left on l never moves and meets no
+    demand: deleting it from a solution leaves a solution, and a solution
+    without it is one with it, since a move open to a distribution is open
+    to every larger one. A fold is legal moves and a deletion, so every
+    field stays in range. Only starts are folded, not the states a search
+    reaches.
+
     Arcs are tried nearest first: by the distance from u to the nearest
     demanded vertex the move approaches, then by the most demand it
     approaches, ties in (u, v) order. A verdict is a property of the state
@@ -100,7 +116,10 @@ def _solver(
     order changes how soon a search ends and which states it visits, never
     a verdict. All calls share one memo, capped at ``MEMO_LIMIT`` states. It
     holds only states no mask decides: a met state and a hopeless one are
-    each decided by one mask.
+    each decided by one mask. A folded start shares its verdict with every
+    start that folds to it, so the memo holds folded starts next to the
+    states that searches reach, and a start whose fold was searched before
+    is one lookup.
 
     A state of at most ``size`` pebbles is one int of fields. Each field is
     a sum v = sum_x c_x * r_x held against a threshold t and stored as
@@ -147,6 +166,12 @@ def _solver(
                 arcs.append((min(ahead)[0], -sum(d for _, d in ahead), u, v))
     arcs.sort()  # ties in (u, v) order
     steps = [(bits[u], unit[v] - 2 * unit[u]) for _, _, u, v in arcs]
+    # each leaf without demand: its count field and the packed pebble of it and its neighbour
+    folds = [
+        (*layout[x], unit[x], unit[adj[x][0]])
+        for x in range(n)
+        if len(adj[x]) == 1 and not demand[x]
+    ]
     memo: dict[int, bool] = {}
     lookup = memo.get
 
@@ -154,6 +179,10 @@ def _solver(
         return BudgetExceededError(f"solvability memo exceeded {MEMO_LIMIT} states")
 
     def solve(start: int) -> bool:
+        for s, mask, bias, leaf, into in folds:
+            c = ((start >> s) & mask) - bias
+            if c > 0:
+                start += (c >> 1) * into - c * leaf
         verdict = lookup(start)
         if verdict is not None:
             return verdict

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 from math import comb
@@ -95,11 +96,17 @@ class TestBruteSolvable:
 class TestBudgets:
     # the limits are module constants, read at call time
     PATH = "v0 v1;v1 v2;v2 v3"
+    STAR = "v0 v1;v0 v2;v0 v3;v0 v4"
 
     def test_memo_limit_in_brute_solvable(self, monkeypatch):
+        # the search writes 7 states (see the threshold test below)
         monkeypatch.setattr(oracle, "MEMO_LIMIT", 5)
         with pytest.raises(BudgetExceededError, match="^solvability memo exceeded 5 states$"):
-            brute_solvable(tree(self.PATH), Distribution({"v0": 8}), WeightFunction({"v3": 1}))
+            brute_solvable(
+                tree(self.STAR),
+                Distribution({"v0": 1, "v1": 3, "v2": 3, "v4": 4}),
+                WeightFunction({"v2": 1, "v3": 1, "v4": 1}),
+            )
 
     def test_memo_limit_in_verify_gamma(self, monkeypatch):
         monkeypatch.setattr(oracle, "MEMO_LIMIT", 5)
@@ -109,7 +116,7 @@ class TestBudgets:
     @pytest.mark.parametrize(
         "dist,demand,verdict,states",
         [
-            ({"v0": 1, "v1": 3, "v2": 3, "v4": 4}, {"v2": 1, "v3": 1, "v4": 1}, True, 19),
+            ({"v0": 1, "v1": 3, "v2": 3, "v4": 4}, {"v2": 1, "v3": 1, "v4": 1}, True, 7),
             ({"v2": 4, "v4": 2}, {"v1": 1, "v2": 1, "v4": 1}, False, 6),
         ],
     )
@@ -117,7 +124,7 @@ class TestBudgets:
         # the budget is checked before every memo write, so a search that
         # writes `states` states raises under every smaller cap and answers
         # under the rest; met and cut states are never written
-        star, d, w = tree("v0 v1;v0 v2;v0 v3;v0 v4"), Distribution(dist), WeightFunction(demand)
+        star, d, w = tree(self.STAR), Distribution(dist), WeightFunction(demand)
         assert brute_solvable(star, d, w) == verdict
         outcomes = []
         for m in range(1, 41):
@@ -549,6 +556,55 @@ def test_arc_restriction_matches_the_raw_move_space():
                     assert got == expected(counts), (t.edges, counts, dict(w.items()))
                     cases += 1
     assert cases == 140_788
+
+
+@pytest.mark.parametrize(
+    "doc,demand",
+    [
+        ("a b;a c;a d", {"d": 2}),  # two leaves without demand on one neighbour
+        ("a b;b c", {"b": 2, "c": 1}),  # a leaf whose neighbour is demanded
+        ("a b", {"b": 3}),  # the 2-vertex tree
+        ("a b;a c;a d;d e", {"b": 1, "e": 2}),  # a demanded leaf beside one without demand
+    ],
+)
+def test_leaf_fold_matches_the_raw_move_space(doc, demand):
+    # every leaf without demand gets 0-12 pebbles, odd and even, which the
+    # oracle folds into its neighbour before it searches; every other vertex
+    # gets 0-2; the reference searches the unfolded start's raw move space
+    t, w = tree(doc), WeightFunction(demand)
+    row = w.row(t)
+    expected = reference_solver(t, w, prune=False)
+    ranges = [range(13) if len(t._adj[x]) == 1 and not row[x] else range(3) for x in range(t.n)]
+    for counts in itertools.product(*ranges):
+        d = Distribution.from_row(t, list(counts))
+        assert brute_solvable(t, d, w, max_pebbles=32) == expected(counts), (doc, counts)
+
+
+def test_leaf_fold_matches_the_raw_move_space_on_seeded_trees():
+    # starts of up to 16 pebbles, most of them piled on leaves without demand,
+    # through one shared solver per instance (its memo holds folded starts)
+    # and through a fresh one per start
+    rng = random.Random(20261021)
+    verdicts = []
+    for _ in range(40):
+        t = random_tree(rng.choice((6, 7)), rng.randrange(2**32))
+        w = random_weights(t, rng.randint(1, 4), rng)
+        row = w.row(t)
+        folded = [x for x in range(t.n) if len(t._adj[x]) == 1 and not row[x]]
+        solve, zero, unit, _ = oracle._solver(t, w, 16)
+        expected = reference_solver(t, w, prune=False)
+        for _ in range(50):
+            counts = [0] * t.n
+            size = rng.randint(0, 16)
+            for x in folded:
+                counts[x] = rng.randint(0, size - sum(counts))
+            for _ in range(size - sum(counts)):
+                counts[rng.randrange(t.n)] += 1
+            got = solve(zero + sum(map(mul, counts, unit)))
+            assert got == expected(tuple(counts)), (t.edges, counts, dict(w.items()))
+            assert brute_solvable(t, Distribution.from_row(t, counts), w) == got
+            verdicts.append(got)
+    assert len(verdicts) == 2000 and 500 < sum(verdicts) < 1500
 
 
 def test_packed_compositions_follow_the_reference_order():
