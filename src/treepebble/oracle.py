@@ -18,7 +18,14 @@ each size first tries the last size's unsolvable witness plus one leaf
 pebble, and enumerates the size only when every such extension is
 solvable, over all supports when it has at most ``FULL_CONFIRM_LIMIT``
 distributions and over leaves otherwise. That always happens at the cover
-number itself, the first size with no unsolvable start. The scan does not
+number itself, the first size with no unsolvable start. The enumeration
+prunes by the same closure: solvable distributions are closed upward, so
+it walks the compositions as a prefix tree, in the same lex order, solves
+a prefix alone, with every later coordinate 0, and skips every completion
+of a solvable prefix. Each completion dominates its
+prefix, so every skipped start is solvable, and the walk meets the
+unsolvable starts in the same order: it stops at the same first one. Prefix
+solves share the memo with every other start. The scan does not
 start at size 0: it first solves one pile on the leaf a lone pile costs
 most to meet the demand from, one pebble short of that cost. When the
 search proves the pile unsolvable, downward closure gives every smaller
@@ -29,8 +36,9 @@ same demand, can be swapped by an automorphism of (T, w), so a start and
 its swap share a verdict: the scan searches one start per orbit of such
 swaps, the canonical one whose counts do not increase along each twin
 class, and gives the others their canonical twin's verdict. A report's
-``distributions_checked`` counts every start state decided, by a search
-or by its canonical twin's verdict, the pile and the extensions included.
+``distributions_checked`` counts every start state decided, by a search,
+by its canonical twin's verdict or by a solvable prefix, the pile and the
+extensions included: the starts a scan with neither rule would search.
 
 Each search state is one int: a count field per vertex, a met field per
 demanded vertex and a filter field per weighted sum, each biased so that
@@ -48,7 +56,7 @@ import time
 from dataclasses import dataclass
 from math import comb
 from operator import mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .checked import require_int
 from .cover import cover_pebbling_number
@@ -250,69 +258,70 @@ def brute_solvable(
     return solve(zero + sum(map(mul, dist.row(tree), unit)))
 
 
-def _packed_compositions(
-    total: int, units: list[int], base: int, caps: list[int] | None = None
-) -> Iterator[int]:
-    """``base`` plus sum_i c_i * units[i] over the weak compositions c of ``total``,
-    first coordinate descending. Every tree has a leaf, so ``units`` is never empty.
+def _first_unsolvable(
+    solve: Callable[[int], bool], total: int, units: list[int], base: int, caps: list[int]
+) -> int | None:
+    """The first state ``base`` plus sum_i c_i * units[i], over the weak
+    compositions c of ``total`` with the first coordinate descending, that
+    ``solve`` rejects, or None. Every tree has a leaf, so ``units`` is never
+    empty.
 
     ``caps[i] = j``, with j < i, keeps only the compositions with c_i <= c_j,
     and -1 caps nothing: the capped sequence is the uncapped one with the
     other compositions left out, in the same order.
 
-    An odometer over all coordinates but the final one, whose last (the
-    pivot) holds what the others leave: each reading yields the splits of
-    the pivot's pebbles with the final coordinate whose final share lies in
-    the range [lo, hi] that the caps on those two allow, then takes one
-    pebble off the last nonzero coordinate before the pivot and moves it,
-    with the pivot's pebbles, to the coordinate after it. A reading whose
-    coordinates before the pivot break a cap yields nothing.
+    A walk over the prefix tree of that order, which skips every completion
+    of a solvable prefix: solvable states are closed upward, and each
+    completion dominates its prefix. A prefix (c_0, ..., c_i) is solved
+    alone, every later coordinate 0, when 0 < c_i < rest, the pebbles that
+    coordinates i onward share: at c_i = 0 it is its parent, already found
+    unsolvable, and at c_i = rest it is its one completion. A prefix that
+    ends one coordinate short of the last has one completion too, so only
+    that completion is solved.
     """
-    *odometer, final = units
-    if not odometer:
-        yield base + total * final
-        return
-    pivot = len(odometer) - 1
-    step = final - odometer[pivot]
-    held, pivot_cap, final_cap = [], -1, -1
-    if caps is not None:
-        held = [(i, j) for i, j in enumerate(caps[:pivot]) if j >= 0]
-        pivot_cap, final_cap = caps[pivot], caps[-1]
-    counts = [total] + [0] * pivot
-    state = base + total * odometer[0]
-    while True:
-        rest = counts[pivot]
-        # the final coordinate takes f of the pivot's pebbles, lo <= f <= hi
-        lo, hi = 0, rest
-        if pivot_cap >= 0 and rest > counts[pivot_cap]:
-            lo = rest - counts[pivot_cap]
-        if final_cap >= 0:
-            hi = rest // 2 if final_cap == pivot else min(rest, counts[final_cap])
-        if held:
-            for i, j in held:
-                if counts[i] > counts[j]:
-                    hi = -1
-                    break
-        if lo <= hi:
-            split = state + lo * step
-            yield split
-            for _ in range(hi - lo):
-                split += step
-                yield split
-        i = pivot - 1
-        while i >= 0 and not counts[i]:
-            i -= 1
-        if i < 0:
-            return
-        counts[i] -= 1
-        counts[pivot] = 0
-        counts[i + 1] = rest + 1
-        state += (rest + 1) * odometer[i + 1] - rest * odometer[pivot] - odometer[i]
+    last = len(units) - 1
+    if not last:
+        state = base + total * units[0]
+        return None if solve(state) else state
+    counts = [0] * last
+
+    def walk(i: int, rest: int, state: int) -> int | None:
+        unit, cap = units[i], caps[i]
+        top = rest if cap < 0 else min(rest, counts[cap])
+        if i == last - 1:
+            # each c_i from top down to lo leaves rest - c_i to the last
+            # coordinate, within its cap
+            final = caps[last]
+            lo = 0
+            if final == i:
+                lo = (rest + 1) // 2
+            elif final >= 0:
+                lo = max(rest - counts[final], 0)
+            step = units[last] - unit
+            state += top * unit + (rest - top) * units[last]
+            for _ in range(top - lo + 1):
+                if not solve(state):
+                    return state
+                state += step
+            return None
+        for c in range(top, -1, -1):
+            counts[i] = c
+            prefix = state + c * unit
+            if c == rest:
+                if not solve(prefix):
+                    return prefix
+            elif c == 0 or not solve(prefix):
+                bad = walk(i + 1, rest - c, prefix)
+                if bad is not None:
+                    return bad
+        return None
+
+    return walk(0, total, base)
 
 
 def _composition_rank(counts: list[int]) -> int:
     """How many weak compositions of the same total into as many parts come
-    before ``counts`` in ``_packed_compositions``'s order.
+    before ``counts`` in ``_first_unsolvable``'s order.
 
     Those that agree with it before coordinate i and hold more at i leave at
     most rest - c_i - 1 pebbles to the q coordinates after i, and there are
@@ -437,12 +446,24 @@ def verify_gamma(
     order, so the first unsolvable composition is canonical: the scan
     enumerates only canonical ones and stops where the full scan would.
 
+    The enumeration is a walk over the prefix tree of that order (see
+    ``_first_unsolvable``). It solves a prefix (c_0, ..., c_i) alone, every
+    later coordinate 0, and skips all its completions when the prefix is
+    solvable. Solvable distributions are closed upward, since every move
+    sequence open to a distribution is open to every larger one, and each
+    completion dominates its prefix, so every skipped composition is
+    solvable. The walk keeps the order, so the first unsolvable composition
+    it meets, and with it the witness and its rank, is the one a scan of
+    every composition meets first. Prefix solves share the memo, so a
+    prefix's search also serves the starts that reach its states.
+
     ``distributions_checked`` counts every start state decided, by a
-    search or by the verdict of its canonical twin: the pile, each
-    extension, and the compositions up to the first unsolvable one (its
-    lex rank plus one), or all C(k + p - 1, p - 1) compositions of k over
-    p vertices at gamma. It is the number of starts an unreduced scan
-    passes to the solver. A leaf scan is held to
+    search, by the verdict of its canonical twin or by a solvable prefix:
+    the pile, each extension, and the compositions up to the first
+    unsolvable one (its lex rank plus one), or all C(k + p - 1, p - 1)
+    compositions of k over p vertices at gamma. It is the number of starts
+    an unreduced scan passes to the solver, and the prefixes solved are
+    not among them. A leaf scan is held to
     ``ENUM_LIMIT`` by its full composition count before it is tried (sizes
     up to P before the pile, the first one past the limit found by
     bisection); an all-vertex scan stays within ``FULL_CONFIRM_LIMIT``,
@@ -509,14 +530,12 @@ def verify_gamma(
                     bad = witness_state + unit
                     break
         if bad is None:
-            for state in _packed_compositions(k, units, zero, caps):
-                if not solve(state):
-                    bad = state
-                    break
-            else:
+            bad = _first_unsolvable(solve, k, units, zero, caps)
+            if bad is None:
                 checked_count += count
                 break
-            # each composition before it was decided, by a search or by its canonical twin's
+            # each composition before it was decided: by a search, by its
+            # canonical twin's verdict or by a solvable prefix
             row = row_of(bad)
             checked_count += _composition_rank([row[v] for v in members]) + 1
         witness_state, k = bad, k + 1

@@ -512,6 +512,66 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def packed_compositions(
+    total: int, units: list[int], base: int, caps: list[int] | None = None
+) -> Iterator[int]:
+    """``base`` plus sum_i c_i * units[i] over the weak compositions c of ``total``,
+    first coordinate descending: the oracle's size scan without its prune.
+
+    ``caps[i] = j``, with j < i, keeps only the compositions with c_i <= c_j,
+    and -1 caps nothing: the capped sequence is the uncapped one with the
+    other compositions left out, in the same order.
+
+    An odometer over all coordinates but the final one, whose last (the
+    pivot) holds what the others leave: each reading yields the splits of
+    the pivot's pebbles with the final coordinate whose final share lies in
+    the range [lo, hi] that the caps on those two allow, then takes one
+    pebble off the last nonzero coordinate before the pivot and moves it,
+    with the pivot's pebbles, to the coordinate after it. A reading whose
+    coordinates before the pivot break a cap yields nothing.
+    """
+    *odometer, final = units
+    if not odometer:
+        yield base + total * final
+        return
+    pivot = len(odometer) - 1
+    step = final - odometer[pivot]
+    held, pivot_cap, final_cap = [], -1, -1
+    if caps is not None:
+        held = [(i, j) for i, j in enumerate(caps[:pivot]) if j >= 0]
+        pivot_cap, final_cap = caps[pivot], caps[-1]
+    counts = [total] + [0] * pivot
+    state = base + total * odometer[0]
+    while True:
+        rest = counts[pivot]
+        # the final coordinate takes f of the pivot's pebbles, lo <= f <= hi
+        lo, hi = 0, rest
+        if pivot_cap >= 0 and rest > counts[pivot_cap]:
+            lo = rest - counts[pivot_cap]
+        if final_cap >= 0:
+            hi = rest // 2 if final_cap == pivot else min(rest, counts[final_cap])
+        if held:
+            for i, j in held:
+                if counts[i] > counts[j]:
+                    hi = -1
+                    break
+        if lo <= hi:
+            split = state + lo * step
+            yield split
+            for _ in range(hi - lo):
+                split += step
+                yield split
+        i = pivot - 1
+        while i >= 0 and not counts[i]:
+            i -= 1
+        if i < 0:
+            return
+        counts[i] -= 1
+        counts[pivot] = 0
+        counts[i + 1] = rest + 1
+        state += (rest + 1) * odometer[i + 1] - rest * odometer[pivot] - odometer[i]
+
+
 def reference_solver(
     tree: Tree, weights: WeightFunction, prune: bool
 ) -> Callable[[tuple[int, ...]], bool]:
@@ -617,7 +677,7 @@ def reference_verify_gamma(
             raise BudgetExceededError(
                 f"{count} distributions of size {size} exceed enumeration limit {oracle.ENUM_LIMIT}"
             )
-        for state in oracle._packed_compositions(size, units, zero):
+        for state in packed_compositions(size, units, zero):
             checked_count += 1
             if not solve(state):
                 return state
@@ -660,8 +720,9 @@ def unreduced_verify_gamma(
     each extension and each composition of a scanned size goes to the
     solver, twins or not, and ``distributions_checked`` counts the calls.
     The report's ``elapsed`` is 0. It shares the oracle's packed solver
-    (looked up at call time, so a wrapper sees its calls) and its uncapped
-    enumerator, and reads the module's limits at call time.
+    (looked up at call time, so a wrapper sees its calls), enumerates with
+    the unpruned ``packed_compositions``, uncapped, and reads the module's
+    limits at call time.
     """
     if tree.n > oracle.MAX_VERTICES:
         raise BudgetExceededError(
@@ -702,7 +763,7 @@ def unreduced_verify_gamma(
             confirmation, units = "leaves", leaf_units
         hold(k, len(units))
         extensions = [] if witness_state is None else [witness_state + unit for unit in leaf_units]
-        for state in itertools.chain(extensions, oracle._packed_compositions(k, units, zero)):
+        for state in itertools.chain(extensions, packed_compositions(k, units, zero)):
             checked_count += 1
             if not solve(state):
                 witness_state, k = state, k + 1

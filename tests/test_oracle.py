@@ -25,6 +25,7 @@ from helpers import (
     all_shapes,
     compositions,
     enumerate_distributions,
+    packed_compositions,
     random_distribution,
     random_weights,
     reference_solver,
@@ -441,7 +442,7 @@ class TestTwinOrbits:
                         for c in compositions(total, len(units))
                         if all(j < 0 or c[i] <= c[j] for i, j in enumerate(caps))
                     ]
-                    got = list(oracle._packed_compositions(total, units, zero, caps))
+                    got = list(packed_compositions(total, units, zero, caps))
                     assert got == canonical, (t.edges, list(members), total)
         assert capped == 2 * 16  # 16 shapes of up to 7 vertices have twin leaves
 
@@ -460,6 +461,9 @@ class TestTwinOrbits:
         ],
     )
     def test_twins_save_solver_calls(self, monkeypatch, doc, demand, fewer):
+        # the same pruned scan with and without twin caps: the caps save
+        # calls exactly when there are twins, and the count is still the
+        # number of starts the unreduced scan searches
         calls, solver = [], oracle._solver
 
         def counting_solver(*args):
@@ -474,11 +478,59 @@ class TestTwinOrbits:
         monkeypatch.setattr(oracle, "_solver", counting_solver)
         t, w = tree(doc), WeightFunction(demand)
         report = verify_gamma(t, w)
-        reduced = len(calls)
+        capped = len(calls)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_twin_caps", lambda tree, demand, members: [-1] * len(members))
+            uncapped_report = verify_gamma(t, w)
+        uncapped = len(calls)
+        assert _report_fields(uncapped_report) == _report_fields(report)
         calls.clear()
         unreduced_verify_gamma(t, w)
         assert report.distributions_checked == len(calls)
-        assert (reduced < len(calls)) if fewer else (reduced == len(calls))
+        assert (capped < uncapped) if fewer else (capped == uncapped)
+
+
+class TestPrunedWalk:
+    """The size scan walks the compositions of a size as a prefix tree and
+    skips every completion of a solvable prefix; the reference loop hands
+    every capped composition to the solver. Both must stop at the same one."""
+
+    def test_same_first_unsolvable_composition_as_the_reference_loop(self):
+        # the same composition has the same rank, so the scan counts the
+        # same starts; TestTwinOrbits checks that count against the
+        # unreduced scan's solver calls
+        instances = pruned = 0
+        for t in all_shapes(6):
+            leaves = [t.index[name] for name in t.leaves()]
+            for w in weight_functions(t):
+                gamma = cover_pebbling_number(t, w).gamma
+                solve, zero, unit, _ = oracle._solver(t, w, gamma)
+                walked = 0
+
+                def counted(state):
+                    nonlocal walked
+                    walked += 1
+                    return solve(state)
+
+                for members in (range(t.n), leaves):
+                    units = [unit[v] for v in members]
+                    caps = oracle._twin_caps(t, w.row(t), members)
+                    # every size the scan could confirm over these supports
+                    for size in range(gamma + 1):
+                        if oracle._composition_count(size, len(units)) > oracle.FULL_CONFIRM_LIMIT:
+                            break
+                        walked = 0
+                        got = oracle._first_unsolvable(counted, size, units, zero, caps)
+                        expected, looped = None, 0
+                        for looped, state in enumerate(packed_compositions(size, units, zero, caps), 1):
+                            if not solve(state):
+                                expected = state
+                                break
+                        assert got == expected, (t.edges, dict(w.items()), list(members), size)
+                        instances += 1
+                        pruned += walked < looped
+        assert instances == 56_593 and pruned > 0
 
 
 def _max_unsolvable_size(t, w, ceiling, support=None):
@@ -614,7 +666,7 @@ def test_packed_compositions_follow_the_reference_order():
         units = unit[:parts]
         for total in range(9):
             expected = [zero + sum(map(mul, c, units)) for c in compositions(total, parts)]
-            assert list(oracle._packed_compositions(total, units, zero)) == expected
+            assert list(packed_compositions(total, units, zero)) == expected
 
 
 def test_packed_states_hash_apart_at_wide_fields():
@@ -626,7 +678,7 @@ def test_packed_states_hash_apart_at_wide_fields():
         w = WeightFunction({t.names[0]: 2, t.names[3]: 1})
         for size in (512, 10**18, 2**120):
             _, zero, unit, _ = oracle._solver(t, w, size)
-            states = list(oracle._packed_compositions(10, unit, zero))
+            states = list(packed_compositions(10, unit, zero))
             assert len({hash(x) for x in states}) > len(states) // 2, (seed, size)
 
 
