@@ -150,7 +150,7 @@ def _all_scores(tree: Tree, weights: WeightFunction) -> list[int | None]:
                 second[p] = d
     rest = [sum(1 << h for h, r in zip(height, reach) if r < 0 and h < 63)] * tree.n
     away = [-1] * tree.n  # farthest support outside the subtree
-    for x in reversed(order[:-1]):  # pre-order: the parent is final
+    for x in reversed(order[:-1]):  # parents before children: the parent is final
         p = parent[x]
         fold[x] = (2 * fold[p] - 3 * fold[x]) & mask  # W(x) becomes D(x)
         if reach[x] < 0:

@@ -47,10 +47,10 @@ class SolvabilityCertificate:
 def _collapse(
     tree: Tree, dist: Distribution, weights: WeightFunction, root: str
 ) -> tuple[list[int], list[int], list[int]]:
-    """Fold every vertex into its parent in post-order toward ``root``.
+    """Fold every vertex into its parent toward ``root``, children first.
 
     Returns the values (each non-root entry as it was when folded, the
-    root's entry the collapsed value), post-order and parents.
+    root's entry the collapsed value), the rooting's order and parents.
     A value outside the signed 64-bit range raises: C = D - demand in name
     order, then each vertex's value once it is final, in fold order.
     """
@@ -72,8 +72,8 @@ def _collapse(
 def hat_c(tree: Tree, dist: Distribution, weights: WeightFunction, root: str) -> int:
     """Collapse the whole tree onto ``root`` and return the remaining value.
 
-    Equivalent to reducing every leaf other than ``root`` in deterministic
-    post-order until only ``root`` is left, without building the
+    Equivalent to reducing every leaf other than ``root``, children before
+    parents, until only ``root`` is left, without building the
     intermediate trees.
     """
     values, order, _ = _collapse(tree, dist, weights, root)
@@ -84,7 +84,7 @@ def is_solvable(tree: Tree, dist: Distribution, weights: WeightFunction) -> Solv
     """Decide solvability, reporting the collapsed value at every root.
 
     Collapses once toward the name-smallest vertex, then moves the root
-    down each edge p-x in pre-order: p's side without x, collapsed onto p,
+    down each edge p-x, parents first: p's side without x, collapsed onto p,
     is hat(p) - fold(value(x)), and hat(x) = value(x) + fold of that.
 
     Overflow: this raises exactly where some ``hat_c`` raises, and
@@ -109,11 +109,12 @@ def solve_witness(
 ) -> list[PebblingMove]:
     """Explicit move batches that meet the demand, built from the root's collapse.
 
-    Two phases: surplus vertices first send floor(c/2) pebbles to their
-    parent in post-order (leaves inward), then deficit vertices receive
-    -c pebbles from their parent in pre-order (root outward), so a parent's
-    own deficit is always settled before it feeds a child. Each vertex moves
-    one batch at most. Requires the root's collapsed value to be nonnegative.
+    Two phases over the collapse's rooting: surplus vertices first send
+    floor(c/2) pebbles to their parent in its order (children first), then
+    deficit vertices receive -c pebbles from their parent in its reverse, so
+    a parent's own deficit is always settled before it feeds a child. Each
+    vertex moves one batch at most. Requires the root's collapsed value to
+    be nonnegative.
 
     Raises OverflowLimitError when the batches would put more than 2^63 - 1
     pebbles on a vertex at once, naming the name-smallest such vertex.
@@ -138,20 +139,14 @@ def solve_witness(
             raise OverflowLimitError(
                 f"witness would put more than {INT64_MAX} pebbles on '{names[over]}'"
             )
-    moves: list[PebblingMove] = []
-    size = [1] * len(order)
-    for x in order[:-1]:
-        size[parent[x]] += size[x]
-        cv = values[x]
-        if cv >= 2:
-            moves.append(PebblingMove(names[x], names[parent[x]], cv // 2))
-
-    # pre-order rank (children by name): before x come the i - size + 1 vertices that the
-    # post-order lists before x's subtree, and x's depth many ancestors; the root adds no move
-    depth = tree._depths(order, parent)
-    ranked = sorted((i - size[x] + 1 + depth[x], x) for i, x in enumerate(order) if values[x] < 0)
-    moves += [PebblingMove(names[parent[x]], names[x], -values[x]) for _, x in ranked]
-    return moves
+    up = [
+        PebblingMove(names[x], names[parent[x]], values[x] // 2)
+        for x in order[:-1]
+        if values[x] >= 2
+    ]
+    # the root's value is nonnegative; reversed, the order lists parents before children
+    down = [PebblingMove(names[parent[x]], names[x], -values[x]) for x in order if values[x] < 0]
+    return up + down[::-1]
 
 
 def simulate(tree: Tree, dist: Distribution, moves: Iterable[PebblingMove]) -> Distribution:

@@ -176,21 +176,21 @@ class Tree:
     # -- distances -----------------------------------------------------
 
     def _rooting(self, root: int) -> tuple[list[int], list[int]]:
-        """Post-order (children in name order, root last) and parent array.
-
-        Only vertices reachable from ``root`` are listed; its parent is -1,
-        and an unreached vertex's stays -2, the mark of an unvisited one.
-        """
-        parent = [-2] * len(self.names)
-        parent[root] = -1
+        """Every vertex, children before parents and ``root`` last, and the parent array (-1
+        at ``root``). Callers may rely on that order and its reverse alone. It is a depth-first
+        post-order with children in name order, and only two outputs follow it further: the
+        order of ``solve_witness``'s batches, and which out-of-range value an overflow message
+        names, the first one in fold order."""
+        parent = [-1] * len(self.names)
         adj = self._adj
         order: list[int] = []
         stack = [root]
         while stack:
             x = stack.pop()
             order.append(x)
+            p = parent[x]
             for y in adj[x]:
-                if parent[y] == -2:
+                if y != p:  # in a tree, the one neighbour visited before x
                     parent[y] = x
                     stack.append(y)
         order.reverse()
@@ -198,9 +198,10 @@ class Tree:
 
     @staticmethod
     def _depths(order: list[int], parent: list[int]) -> list[int]:
-        """Depth of each vertex of the rooting ``(order, parent)``, in one pre-order pass."""
+        """Depth of each vertex of the rooting ``(order, parent)``, in one pass over its
+        reverse, where each parent's depth is final before its children's."""
         depth = [0] * len(parent)
-        for x in order[-2::-1]:  # pre-order after the root: the parent's depth is final
+        for x in order[-2::-1]:  # parents before children, after the root
             depth[x] = depth[parent[x]] + 1
         return depth
 
@@ -267,8 +268,8 @@ class DirectedForest:
 
     ``Tree.orient_toward`` builds it from ``Tree._toward`` rooted inside the
     sinks: the arcs are the parent array with every sink set to -1 (no arc), and the
-    rooting's post-order lists every vertex after all vertices whose arcs
-    point to it.
+    rooting's order, children before parents, lists every vertex after all
+    vertices whose arcs point to it.
     """
 
     __slots__ = ("tree", "sinks", "_out", "_order")

@@ -460,15 +460,34 @@ def reduce_leaf(
     return smaller, GeneralizedDistribution(new_values)
 
 
+def breadth_first_rooting(t: Tree, root: int) -> tuple[list[int], list[int]]:
+    """A rooting that keeps ``Tree._rooting``'s contract by another traversal: the reverse of
+    a breadth-first order from ``root``, neighbours in index order, and the parent array, -1 at
+    ``root``. Children still come before parents, but the subtrees of siblings interleave."""
+    rows: list[list[int]] = [[] for _ in t.names]
+    for u, v in t.edges:
+        rows[t.index[u]].append(t.index[v])
+        rows[t.index[v]].append(t.index[u])
+    parent = [-1] * t.n
+    order = [root]
+    for x in order:  # grows as it is read
+        for y in sorted(rows[x]):
+            if y != parent[x]:
+                parent[y] = x
+                order.append(y)
+    return order[::-1], parent
+
+
 def reference_witness(
     t: Tree, dist: Distribution, weights: WeightFunction, root: str
 ) -> list[PebblingMove] | None:
-    """The batches ``solve_witness`` emits toward ``root``, by two recursive walks with
-    children in name order, or None when the root's collapsed value is negative.
+    """The batches ``solve_witness`` emits toward ``root``, by two recursive walks, or
+    None when the root's collapsed value is negative.
 
     A vertex's value is D - demand plus the fold of each child's value. The first walk
-    sends value // 2 from each surplus vertex to its parent in post-order, the second
-    sends -value from the parent to each deficit vertex in pre-order.
+    sends value // 2 from each surplus vertex to its parent in post-order, children in
+    name order; the second sends -value from the parent to each deficit vertex in
+    pre-order, children in reverse name order, the reverse of the first walk's order.
     """
     value: dict[str, int] = {}
     moves: list[PebblingMove] = []
@@ -488,7 +507,7 @@ def reference_witness(
     def feed_down(x: str, parent: str | None) -> None:
         if value[x] < 0:  # never the root, whose value is nonnegative here
             moves.append(PebblingMove(parent, x, -value[x]))
-        for y in children(x, parent):
+        for y in reversed(children(x, parent)):
             feed_down(y, x)
 
     fold_up(root, None)
@@ -719,10 +738,10 @@ def unreduced_verify_gamma(
     The same pile, extensions and confirmations, in the same order, but
     each extension and each composition of a scanned size goes to the
     solver, twins or not, and ``distributions_checked`` counts the calls.
-    The report's ``elapsed`` is 0. It shares the oracle's packed solver
-    (looked up at call time, so a wrapper sees its calls), enumerates with
-    the unpruned ``packed_compositions``, uncapped, and reads the module's
-    limits at call time.
+    It shares the oracle's packed solver (looked up at call time, so a
+    wrapper sees its calls), enumerates with the unpruned
+    ``packed_compositions``, uncapped, and reads the module's limits at
+    call time.
     """
     if tree.n > oracle.MAX_VERTICES:
         raise BudgetExceededError(
@@ -779,7 +798,6 @@ def unreduced_verify_gamma(
         status="PASS" if formula == k else "MISMATCH",
         unsolvable_witness=None if witness_state is None else Distribution.from_row(tree, row_of(witness_state)),
         distributions_checked=checked_count,
-        elapsed=0.0,
         confirmation=confirmation,
     )
 

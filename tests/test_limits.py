@@ -5,8 +5,9 @@ is the last of the hub's neighbours by name), the same star with its lines
 shuffled and every other edge written leaf first, a 10^5-vertex path, and
 random recursive trees (edges ``v<parent> v<i>``) of 2,000 vertices, for the
 quadratic global ``tpebble``, and of 10^6 vertices. All commands run
-in one directory per module, so each input is written once. One command
-runs with its address space capped, so that an allocation fails.
+in one directory per module, so each input is written once. Three runs
+have their address space capped: one so that an allocation fails, and two
+to show that a tree past ``gen-tree``'s ceiling is refused before any is.
 """
 
 import functools
@@ -166,9 +167,28 @@ def test_witness_on_a_random_recursive_tree_of_a_million_vertices(work):
     assert int(dict(line.split() for line in table)[f"v{10**6 - 1}"]) >= 1
 
 
-def test_out_of_memory_is_a_budget_error(work):
-    # 10^8 vertex names need gigabytes, past a 256 MB address space
+def _capped() -> None:
     limit = 256 * 2**20
-    run = cli(work, "gen-tree", "-n", "100000000",
-              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_out_of_memory_is_a_budget_error(work):
+    # 10^7 vertex names, the most gen-tree accepts, need gigabytes, past a 256 MB address space
+    run = cli(work, "gen-tree", "-n", "10000000", preexec_fn=_capped)
     assert (run.returncode, run.stdout, run.stderr) == (4, "", "error: BUDGET: out of memory\n")
+
+
+def test_a_tree_past_the_ceiling_is_refused_before_any_allocation(work):
+    # 10^12 vertex names would need ~34 TB; under the 256 MB cap an allocation would fail
+    # with "out of memory", so the refusal's own message shows that nothing was allocated
+    refusal = "1000000000000 vertices exceed random tree limit 10000000"
+    run = cli(work, "gen-tree", "-n", "1000000000000", preexec_fn=_capped)
+    assert (run.returncode, run.stdout, run.stderr) == (4, "", f"error: BUDGET: {refusal}\n")
+    # the library raises the same refusal, uncaught, as the last line of its traceback
+    run = subprocess.run(
+        [sys.executable, "-c", "import treepebble; treepebble.random_tree(10**12, 0)"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+        preexec_fn=_capped,
+    )
+    assert run.returncode == 1
+    assert run.stderr.splitlines()[-1] == f"treepebble.errors.BudgetExceededError: {refusal}"

@@ -321,7 +321,7 @@ class TestSolveWitness:
         assert simulate(t, d, solve_witness(t, d, w, root)).dominates(w)
 
     def test_move_order_matches_the_recursive_reference(self):
-        # surplus batches in post-order, then deficit batches in pre-order, children by name
+        # surplus batches in post-order, children by name, then deficit batches in its reverse
         rng = random.Random(26)
         solvable = several = 0
         for t in all_shapes(7):
